@@ -363,7 +363,7 @@ def _stream_buckets() -> list:
 def run_stream_cluster_bench(limit: int = STREAM_BENCH_TASKS):
     """One streaming cluster replay: lazy arrivals, chunked feeding, capped
     reservoir metrics — the full bounded-memory path at a CI-sized scale."""
-    from repro.cluster.simulator import simulate_cluster_stream
+    from repro.cluster.simulator import simulate_cluster
     from repro.workload.streaming import BucketStreamSource
 
     source = BucketStreamSource(_stream_buckets(), minutes=12, seed=7, limit=limit)
@@ -373,7 +373,7 @@ def run_stream_cluster_bench(limit: int = STREAM_BENCH_TASKS):
         scheduler="fifo",
         dispatcher="jsq",
     )
-    result = simulate_cluster_stream(
+    result = simulate_cluster(
         source, config=config, chunk=1024, metrics_cap=2048
     )
     assert result.finished_count == limit

@@ -13,7 +13,7 @@ JSON result from stdout::
 Benches:
 
 * ``stream_cluster_1m`` — the acceptance run: one million invocations
-  replayed through ``simulate_cluster_stream`` (chunked arrivals, capped
+  replayed through ``simulate_cluster`` (chunked arrivals, capped
   reservoir metrics) over a 16x8 fifo+jsq fleet.  Peak RSS is O(horizon +
   cap), independent of the task count.
 * ``stream_cluster_100k`` / ``materialised_100k`` — the same fleet fed the
@@ -85,9 +85,9 @@ def _source(limit: int):
 
 
 def run_stream(limit: int) -> int:
-    from repro.cluster.simulator import simulate_cluster_stream
+    from repro.cluster.simulator import simulate_cluster
 
-    result = simulate_cluster_stream(
+    result = simulate_cluster(
         _source(limit),
         config=_fleet_config(),
         chunk=8192,

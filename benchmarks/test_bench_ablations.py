@@ -12,12 +12,12 @@ from repro.core.config import CFSPlacement
 from repro.core.hybrid import HybridScheduler
 from repro.experiments.common import (
     paper_hybrid_config,
-    run_policy,
     standard_config,
     two_minute_workload,
 )
 from repro.schedulers.cfs import CFSScheduler
 from repro.simulation.context_switch import ContextSwitchModel
+from repro.simulation.engine import simulate
 
 
 def _total_execution(result):
@@ -29,12 +29,12 @@ def test_bench_ablation_context_switch_cost(benchmark, bench_scale):
     time-sharing), and grows further when switches cost more."""
 
     def run_ablation():
-        free = run_policy(
+        free = simulate(
             CFSScheduler(),
             two_minute_workload(bench_scale),
             config=standard_config(context_switch=ContextSwitchModel(switch_cost=0.0)),
         )
-        expensive = run_policy(
+        expensive = simulate(
             CFSScheduler(),
             two_minute_workload(bench_scale),
             config=standard_config(context_switch=ContextSwitchModel(switch_cost=200e-6)),
@@ -51,15 +51,15 @@ def test_bench_ablation_cfs_placement(benchmark, bench_scale):
     hybrid far below CFS-level execution times."""
 
     def run_ablation():
-        round_robin = run_policy(
+        round_robin = simulate(
             HybridScheduler(paper_hybrid_config(cfs_placement=CFSPlacement.ROUND_ROBIN)),
             two_minute_workload(bench_scale),
         )
-        least_loaded = run_policy(
+        least_loaded = simulate(
             HybridScheduler(paper_hybrid_config(cfs_placement=CFSPlacement.LEAST_LOADED)),
             two_minute_workload(bench_scale),
         )
-        cfs = run_policy(CFSScheduler(), two_minute_workload(bench_scale))
+        cfs = simulate(CFSScheduler(), two_minute_workload(bench_scale))
         return (
             _total_execution(round_robin),
             _total_execution(least_loaded),
@@ -76,11 +76,11 @@ def test_bench_ablation_adaptive_window(benchmark, bench_scale):
     25 vs 400 entries changes total execution by far less than CFS vs FIFO."""
 
     def run_ablation():
-        small = run_policy(
+        small = simulate(
             HybridScheduler(paper_hybrid_config().with_adaptive_limit(90, window=25)),
             two_minute_workload(bench_scale),
         )
-        large = run_policy(
+        large = simulate(
             HybridScheduler(paper_hybrid_config().with_adaptive_limit(90, window=400)),
             two_minute_workload(bench_scale),
         )

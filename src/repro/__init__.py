@@ -10,7 +10,9 @@ but the most common entry points are re-exported here:
   and friends,
 * schedulers: :class:`repro.core.HybridScheduler` plus the baselines in
   :mod:`repro.schedulers`,
-* running a simulation: :func:`repro.simulation.engine.simulate`,
+* running a simulation: :func:`repro.simulation.engine.simulate` (and
+  :func:`repro.cluster.simulate_cluster` for a fleet), each taking a task
+  list or a :class:`~repro.workload.streaming.StreamingWorkload`,
 * cost accounting: :class:`repro.cost.CostModel`.
 
 Quick example::
@@ -43,7 +45,7 @@ Cluster
 
 :mod:`repro.cluster` scales the same substrate to a multi-node fleet: a
 :class:`~repro.cluster.ClusterSimulator` drives N machines (each with its own
-per-node scheduler from the registry) off one shared virtual clock, routes
+per-node scheduler from the registry) off one shared event loop, routes
 invocations through a pluggable dispatch policy (random, round-robin,
 least-loaded, join-shortest-queue, power-of-two-choices, consistent hashing
 on the function id), and optionally grows/shrinks the fleet with a reactive

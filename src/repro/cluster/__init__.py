@@ -4,7 +4,8 @@ The paper studies scheduling on one machine; this package scales the same
 discrete-event substrate to a *fleet*.  A :class:`ClusterSimulator` drives N
 :class:`~repro.cluster.node.ClusterNode` s — each a full machine running its
 own per-node scheduler from :mod:`repro.schedulers.registry` — off one shared
-virtual clock and event queue.  Fleets may be heterogeneous: a list of
+event loop (the same :class:`~repro.simulation.engine.EventLoop` a
+standalone :class:`~repro.simulation.engine.Simulator` runs on).  Fleets may be heterogeneous: a list of
 :class:`NodeSpec` s gives each node its own core count and speed factor
 (big/little instances, spot vs on-demand), and the load-aware dispatchers
 normalise queue depth by node capacity.  Arriving invocations are routed by
@@ -32,6 +33,11 @@ Quick example::
     )
     result = simulate_cluster(paper_workload_10min(limit=5000), config=config)
     print(result.describe())
+
+:func:`simulate_cluster` takes a task list or a
+:class:`~repro.workload.streaming.StreamingWorkload`; a streamed workload is
+fed in chunks with bounded metrics (``chunk``, ``low_water``,
+``metrics_cap``, ``metrics_policy``, ``spill_dir``).
 """
 
 from repro.cluster.autoscaler import AutoscalerConfig, ReactiveAutoscaler
@@ -68,11 +74,7 @@ from repro.cluster.registry import (
     register_migration_policy,
 )
 from repro.cluster.results import ClusterResult
-from repro.cluster.simulator import (
-    ClusterSimulator,
-    simulate_cluster,
-    simulate_cluster_stream,
-)
+from repro.cluster.simulator import ClusterSimulator, simulate_cluster
 
 __all__ = [
     "AutoscalerConfig",
@@ -105,5 +107,4 @@ __all__ = [
     "ClusterResult",
     "ClusterSimulator",
     "simulate_cluster",
-    "simulate_cluster_stream",
 ]

@@ -1,7 +1,7 @@
-"""Cluster node: one machine + one per-node scheduler on the shared clock.
+"""Cluster node: one machine + one per-node scheduler on the shared loop.
 
-A node wraps a full single-machine :class:`~repro.simulation.engine.Simulator`
-whose clock and event queue are *injected* by the cluster, so completions and
+A node wraps a :class:`~repro.simulation.engine.MachineEngine` running on
+the cluster's :class:`~repro.simulation.engine.EventLoop`, so completions and
 scheduler timers on every node interleave on one global timeline.  The node
 adds the fleet-level lifecycle (booting → active → draining → retired) and
 the load accounting dispatchers select on.
@@ -13,11 +13,8 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from repro.cluster.config import NodeSpec
-from repro.simulation.clock import VirtualClock
 from repro.simulation.config import SimulationConfig
-from repro.simulation.cpu import Core
-from repro.simulation.engine import Simulator
-from repro.simulation.events import EventQueue
+from repro.simulation.engine import EventLoop, MachineEngine
 from repro.simulation.machine import Machine
 from repro.simulation.results import SimulationResult, build_result
 from repro.simulation.task import Task
@@ -42,61 +39,6 @@ class NodeState(Enum):
         return self is NodeState.RETIRED or self is NodeState.FAILED
 
 
-class _NodeEngine(Simulator):
-    """Per-node simulator sharing the cluster clock and event queue.
-
-    Two deviations from the standalone engine:
-
-    * finished tasks are reported to the cluster through a callback, so the
-      cluster can track fleet-wide completion and node load;
-    * ``_pending_arrivals`` proxies the *cluster's* pending-arrival count, so
-      periodic scheduler timers (CFS load balancing, the hybrid's adaptive
-      limit) keep re-arming while the workload is still arriving — exactly
-      the condition they observe in a standalone run.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        scheduler,
-        config: SimulationConfig,
-        clock: VirtualClock,
-        events: EventQueue,
-    ) -> None:
-        self._cluster_pending: Optional[Callable[[], int]] = None
-        self._finished_callback: Optional[Callable[[Task], None]] = None
-        super().__init__(machine, scheduler, config=config, clock=clock, events=events)
-
-    # ``Simulator.__init__`` assigns ``_pending_arrivals = 0``; accept the
-    # write but answer reads with the cluster-wide count once bound.
-    @property
-    def _pending_arrivals(self) -> int:
-        if self._cluster_pending is not None:
-            return self._cluster_pending()
-        return self._own_pending_arrivals
-
-    @_pending_arrivals.setter
-    def _pending_arrivals(self, value: int) -> None:
-        self._own_pending_arrivals = value
-
-    def bind_cluster(
-        self,
-        pending_arrivals: Callable[[], int],
-        finished_callback: Callable[[Task], None],
-    ) -> None:
-        self._cluster_pending = pending_arrivals
-        self._finished_callback = finished_callback
-
-    def _handle_completion(self, core: Core) -> None:
-        super()._handle_completion(core)
-        # ``_last_finished`` (set by the base handler) rather than slicing
-        # ``collector.finished_tasks``: streaming collectors don't retain
-        # task objects, but fleet accounting must still see every finish.
-        if self._finished_callback is not None:
-            for task in self._last_finished:
-                self._finished_callback(task)
-
-
 class ClusterNode:
     """One node of the cluster: lifecycle, load accounting, local engine."""
 
@@ -106,8 +48,7 @@ class ClusterNode:
         machine: Machine,
         scheduler,
         config: SimulationConfig,
-        clock: VirtualClock,
-        events: EventQueue,
+        loop: EventLoop,
         state: NodeState = NodeState.ACTIVE,
         spec: Optional[NodeSpec] = None,
         commissioned_at: float = 0.0,
@@ -117,7 +58,8 @@ class ClusterNode:
         self.spec = spec or NodeSpec(
             cores=config.num_cores, speed_factor=config.core_speed
         )
-        self.engine = _NodeEngine(machine, scheduler, config, clock, events)
+        self.engine = MachineEngine(machine, scheduler, loop, config=config)
+        self.engine.node = self
         self.inflight = 0
         #: Tasks dispatched to this node but still in flight on the wire
         #: (inside the ingress queue); they count toward the node's load but

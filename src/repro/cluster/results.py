@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -61,10 +59,11 @@ class ClusterResult:
     columns: Optional[TaskColumns] = None
     #: Frozen telemetry of the run (``None`` unless telemetry was enabled).
     telemetry: Optional[TelemetrySnapshot] = None
-    #: Tasks fed to the run.  Streaming runs leave ``tasks`` empty (task
-    #: objects are not retained), so count-based accessors fall back to this
-    #: and to the columnar store; 0 means "not recorded — use len(tasks)".
-    tasks_submitted: int = 0
+    #: Arrivals the run took in (a run cut off by a time limit counts only
+    #: those that arrived before the cut).  Count-based accessors read this
+    #: — streaming runs leave ``tasks`` empty — and ``None`` means "not
+    #: recorded — use len(tasks)".
+    tasks_submitted: Optional[int] = None
 
     # ---------------------------------------------------------------- columns
 
@@ -82,8 +81,8 @@ class ClusterResult:
 
     @property
     def total_tasks(self) -> int:
-        """Tasks fed to the run (works for streaming runs with no task list)."""
-        return len(self.tasks) if self.tasks else self.tasks_submitted
+        """Tasks the run took in (works for streaming runs with no task list)."""
+        return len(self.tasks) if self.tasks_submitted is None else self.tasks_submitted
 
     @property
     def finished_count(self) -> int:
@@ -268,14 +267,10 @@ class ClusterResult:
 
         On a run cut off by ``max_simulated_time`` under fault injection
         this is the headline task-loss figure: work the fleet accepted but
-        never completed.
+        never completed.  Tasks still due to arrive at the cut were never
+        taken in and are not counted.
         """
-        if not self.tasks:
-            # Streaming runs: counters instead of task-object walks.
-            return max(
-                0, self.tasks_submitted - self.finished_count - self.tasks_rejected
-            )
-        return len(self.tasks) - len(self.finished_tasks) - len(self.rejected_tasks())
+        return self.total_tasks - self.finished_count - self.tasks_rejected
 
     # ------------------------------------------------------------- timeseries
 

@@ -17,9 +17,8 @@ workload ⇒ bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 import time as _wallclock
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.chaos.injector import build_injector
 from repro.cluster.autoscaler import ReactiveAutoscaler
@@ -32,14 +31,12 @@ from repro.cluster.registry import create_dispatcher, create_migration_policy
 from repro.cluster.results import ClusterResult
 from repro.middleware.base import ADMIT_TAG, DEFER, TIMEOUT_TAG, MiddlewareChain
 from repro.schedulers.registry import create_scheduler
-from repro.simulation.clock import VirtualClock
-from repro.simulation.columns import TaskColumns, build_columns_store
-from repro.simulation.engine import SimulationError
-from repro.simulation.events import STREAM_SEQ_BASE, EventPriority, EventQueue
+from repro.simulation.columns import build_columns_store
+from repro.simulation.engine import EventLoop, SimulationError
+from repro.simulation.events import EventPriority
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import SeriesPoint
 from repro.simulation.task import Task
-from repro.telemetry.gauges import SAMPLER_TAG
 from repro.telemetry.runtime import as_telemetry
 from repro.telemetry.tracer import (
     AUTOSCALER_TID,
@@ -54,9 +51,14 @@ from repro.telemetry.tracer import (
 )
 
 
-class ClusterSimulator:
+#: Tag of a lost task's re-admission event (payload: the task).  Unlike a
+#: fed arrival it was already taken in, so it is not counted again.
+READMIT_TAG = "readmit"
+
+
+class ClusterSimulator(EventLoop):
     """Event-driven fleet simulator: dispatcher + N machines + autoscaler
-    + optional work-stealing migration."""
+    + optional work-stealing migration, all on one :class:`EventLoop`."""
 
     def __init__(
         self,
@@ -71,9 +73,10 @@ class ClusterSimulator:
         metrics_policy: str = "reservoir",
         spill_dir: Optional[str] = None,
     ) -> None:
+        super().__init__()
         self.config = config or ClusterConfig()
-        self.clock = VirtualClock()
-        self.events = EventQueue()
+        # Node engines share this config's time limit and sampling settings.
+        self._loop_config = self.config.build_node_config()
         self.dispatcher = dispatcher or self._build_dispatcher()
         self.migration_policy = migration_policy or self._build_migration_policy()
         self.autoscaler = autoscaler
@@ -102,7 +105,6 @@ class ClusterSimulator:
         if index_key is not None:
             self._load_index.register(*index_key)
         self.nodes: List[ClusterNode] = []
-        self.tasks: List[Task] = []
         # Memory-bounding policy for columnar metrics: applied to the fleet
         # store here and to every node store (including autoscaler scale-ups)
         # in _create_node.  Node reservoirs get derived seeds so fleets stay
@@ -131,20 +133,7 @@ class ClusterSimulator:
         self.wasted_service = 0.0
         self.rejected_tasks: List[Task] = []
         self._migrations_inflight = 0
-        self._unfinished = 0
-        self._pending_arrivals = 0
-        self._events_processed = 0
-        self._running = False
         self._next_node_id = 0
-        self._tasks_submitted = 0
-        # Streaming arrival feed (see submit_stream); None on classic runs.
-        self._stream = None
-        self._stream_low_water = 0
-        self._stream_seq = None
-        self._stream_total: Optional[int] = None
-        # Flipped by submit_stream: node collectors then drop task-object
-        # retention (fleet accounting runs off engine._last_finished).
-        self._keep_node_tasks = True
         if self.telemetry is not None:
             self._wire_cluster_telemetry()
         if self._middleware is not None:
@@ -276,17 +265,12 @@ class ClusterSimulator:
             machine=machine,
             scheduler=scheduler,
             config=node_config,
-            clock=self.clock,
-            events=self.events,
+            loop=self,
             state=state,
             spec=spec,
             commissioned_at=self.now,
         )
         self._next_node_id += 1
-        node.engine.bind_cluster(
-            pending_arrivals=lambda: self._pending_arrivals,
-            finished_callback=lambda task, n=node: self._on_task_finished(n, task),
-        )
         self._apply_metrics_policy(node)
         # Wire delay a dispatched task pays to reach this node, resolved once
         # from the network model (per-spec RTT override, probe cost of the
@@ -324,7 +308,9 @@ class ClusterSimulator:
         either way — only the per-node percentile sample shrinks.
         """
         collector = node.engine.collector
-        if not self._keep_node_tasks:
+        if self._stream is not None:
+            # Streamed runs retain no task objects (fleet accounting runs
+            # off engine._last_finished).
             collector.keep_tasks = False
         if self._metrics_cap is not None:
             fleet_size = max(1, len(self.config.expanded_specs()))
@@ -336,11 +322,7 @@ class ClusterSimulator:
                 seed=self.config.seed * 1_000_003 + node.node_id + 1,
             )
 
-    # ------------------------------------------------------------------- clock
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
+    # ---------------------------------------------------------------- series
 
     def record_series(self, name: str, value: float) -> None:
         """Record one point of a named fleet-level time series.
@@ -529,7 +511,7 @@ class ClusterSimulator:
             self.now + self._chaos.spec.redispatch_delay,
             None,
             priority=EventPriority.ARRIVAL,
-            tag="cluster-arrival",
+            tag=READMIT_TAG,
             payload=task,
         )
 
@@ -552,88 +534,20 @@ class ClusterSimulator:
         # tick sees the parked backlog as infinite load and regrows it.
         return self._chaos is not None and self.autoscaler is not None
 
-    # --------------------------------------------------------------- workload
+    # ----------------------------------------------------------- event loop
 
-    def submit(self, tasks: Iterable[Task]) -> None:
-        """Register tasks and schedule their cluster arrival events."""
-        if self._running:
-            raise SimulationError("cannot submit tasks while the simulation is running")
-        for task in tasks:
-            self.tasks.append(task)
-            self._tasks_submitted += 1
-            self._unfinished += 1
-            self._pending_arrivals += 1
-            # Payload-carrying event dispatched by tag: no per-task closure.
-            self.events.push(
-                task.arrival_time,
-                None,
-                priority=EventPriority.ARRIVAL,
-                tag="cluster-arrival",
-                payload=task,
-            )
+    def _engines(self):
+        return [node.engine for node in self.nodes]
 
-    def submit_stream(self, source, *, chunk: int = 8192, low_water: Optional[int] = None) -> None:
-        """Attach a streaming arrival source; arrivals are fed in chunks.
+    def _sampled_engines(self):
+        return [
+            node.engine for node in self.nodes if node.state is not NodeState.RETIRED
+        ]
 
-        The cluster analogue of :meth:`repro.simulation.engine.Simulator
-        .submit_stream`: the event heap and live task set stay O(horizon),
-        node collectors stop retaining finished Task objects, and fed
-        arrivals carry reserved-range sequence numbers so the run is
-        bit-identical to ``submit(source.materialise())`` — including under
-        non-zero RTT, where ingress hops land on arrival timestamps.
-        """
-        from repro.workload.streaming import StreamFeed
-
-        if self._running:
-            raise SimulationError("cannot attach a stream while the simulation is running")
-        if self._stream is not None:
-            raise SimulationError("a streaming source is already attached")
-        if low_water is None:
-            low_water = max(1, chunk // 4)
-        if low_water < 0:
-            raise ValueError(f"low_water must be >= 0, got {low_water!r}")
-        self._stream = StreamFeed(source, chunk)
-        self._stream_low_water = low_water
-        self._stream_seq = itertools.count(STREAM_SEQ_BASE)
-        self._stream_total = source.total_hint()
-        self._keep_node_tasks = False
-        for node in self.nodes:
-            node.engine.collector.keep_tasks = False
-        self._refill_stream()
-
-    def _refill_stream(self) -> None:
-        """Feed arrival chunks until pending arrivals clear the low-water mark."""
-        feed = self._stream
-        events = self.events
-        seq = self._stream_seq
-        while not feed.exhausted and self._pending_arrivals <= self._stream_low_water:
-            tasks = feed.next_chunk()
-            if not tasks:
-                break
-            self._tasks_submitted += len(tasks)
-            self._unfinished += len(tasks)
-            self._pending_arrivals += len(tasks)
-            for task in tasks:
-                events.push_sequenced(
-                    task.arrival_time,
-                    next(seq),
-                    priority=EventPriority.ARRIVAL,
-                    tag="cluster-arrival",
-                    payload=task,
-                )
-
-    def _dispatch_tagged(self, event) -> None:
-        """Route a payload-carrying (callback-free) event by its tag.
-
-        Cluster-level tags are handled here; anything else (completions, and
-        any engine-level tag added later) is delegated to the per-node
-        engine that owns the event's payload, so the engine keeps the single
-        routing table for its own events.
-        """
-        if event.tag == "cluster-arrival":
-            self._handle_arrival(event.payload)
-            return
-        if event.tag == "cluster-ingress":
+    def _dispatch_other(self, event) -> None:
+        """Route the cluster's own payload events (ingress, re-admission, middleware)."""
+        tag = event.tag
+        if tag == "cluster-ingress":
             node, task = event.payload
             if node.state is NodeState.FAILED:
                 # The node died while this task was on the wire toward it:
@@ -644,33 +558,20 @@ class ClusterSimulator:
                 self._lose_task(task, node)
                 return
             node.complete_ingress(task, self.now)
-            return
-        if event.tag == SAMPLER_TAG:
-            # The sampler's payload is the sampler itself, not an engine-owned
-            # object, so handle it before the owner routing below.
-            event.payload.on_tick()
-            return
-        if event.tag == ADMIT_TAG:
+        elif tag == READMIT_TAG:
+            self._pending_arrivals -= 1
+            self._on_arrival(event.payload)
+        elif tag == ADMIT_TAG:
             # A deferred or retried task re-enters through the full admission
             # path so every middleware sees it again.
             self._admit(event.payload)
-            return
-        if event.tag == TIMEOUT_TAG:
+        elif tag == TIMEOUT_TAG:
             mw, task = event.payload
             mw.on_timeout(task)
-            return
-        owner = getattr(event.payload, "_engine", None)
-        if owner is None:
-            raise SimulationError(
-                f"event at t={event.time} has no callback and unknown tag "
-                f"{event.tag!r}"
-            )
-        owner._dispatch_tagged(event)
+        else:
+            super()._dispatch_other(event)
 
-    def _handle_arrival(self, task: Task) -> None:
-        self._pending_arrivals -= 1
-        if self._stream is not None and self._pending_arrivals <= self._stream_low_water:
-            self._refill_stream()
+    def _on_arrival(self, task: Task) -> None:
         if self._tracer is not None:
             self._tracer.instant(
                 "arrival", CLUSTER_PID, DISPATCH_TID, self.now, task.task_id
@@ -679,6 +580,13 @@ class ClusterSimulator:
             self._admit(task)
             return
         self._dispatch(task)
+
+    def _on_completion(self, core) -> None:
+        engine = core._engine
+        engine._handle_completion(core)
+        node = engine.node
+        for task in engine._last_finished:
+            self._on_task_finished(node, task)
 
     def _admit(self, task: Task) -> None:
         """Run the middleware chain's dispatch hooks, then dispatch.
@@ -947,86 +855,22 @@ class ClusterSimulator:
 
     def run(self, until: Optional[float] = None) -> ClusterResult:
         """Run the cluster to completion and return the fleet-wide result."""
-        node_config = self.config.build_node_config()
-        limit = until if until is not None else node_config.max_simulated_time
         started = _wallclock.perf_counter()
         self._running = True
         for node in self.active_nodes():
             node.activate(self.now)  # already ACTIVE; fires scheduler.on_start once
         self._record_fleet_size()
         if self.telemetry is not None:
-            if self._stream is not None:
-                self.telemetry.bind_progress(
-                    self._stream_total,
-                    lambda: self._tasks_submitted - self._unfinished,
-                )
-            else:
-                self.telemetry.bind_progress(
-                    len(self.tasks), lambda: len(self.tasks) - self._unfinished
-                )
-            self.telemetry.start(self.events, self.clock, self._work_can_progress)
+            self._start_progress()
         if self.autoscaler is not None:
             self._schedule_autoscaler_tick()
         if self.migration_policy is not None:
             self._schedule_migration_tick()
-        if node_config.record_utilization:
-            for node in self.nodes:
-                node.engine.collector.start_utilization_window(
-                    node.machine.cores, self.now
-                )
-            self._schedule_utilization_sample(node_config.utilization_window)
-
-        done = False
-        while not done:
-            next_time = self.events.peek_time()
-            if next_time is None:
-                break
-            if limit is not None and next_time > limit:
-                self.clock.advance_to(limit)
-                break
-            self.clock.advance_to(next_time)
-            # Batched draining (mirrors Simulator.run): all events at this
-            # timestamp are dispatched in one loop iteration, in the same
-            # (time, priority, seq) order as one-at-a-time draining.
-            while True:
-                event = self.events.pop()
-                if event is None:
-                    done = True
-                    break
-                self._events_processed += 1
-                callback = event.callback
-                if callback is not None:
-                    callback()
-                else:
-                    self._dispatch_tagged(event)
-                if self._unfinished == 0 and self._pending_arrivals == 0:
-                    done = True
-                    break
-                if self.events.peek_time() != next_time:
-                    break
-
-        # Flush lazily accounted service so per-task fields are concrete in
-        # every node's result, including tasks cut off by a time limit.
-        for node in self.nodes:
-            for core in node.machine.cores:
-                core.sync(self.now)
-                core.materialize_all()
-        # Final utilization sample so short runs still get at least one point.
-        if node_config.record_utilization:
-            for node in self.nodes:
-                if node.machine.cores:
-                    node.engine.collector.sample_utilization(
-                        node.machine.cores, self.now, window=None
-                    )
-        for node in self.nodes:
-            node.scheduler.on_end()
-        self._running = False
-        telemetry_snapshot = None
-        if self.telemetry is not None:
-            # Finish before building the result: the final gauge sample and
-            # any open-span drain must land in the copied series/snapshot.
-            self.telemetry.finish(self.now)
-            telemetry_snapshot = self.telemetry.snapshot()
+        self._start_utilization()
+        self._drain(
+            until if until is not None else self._loop_config.max_simulated_time
+        )
+        telemetry_snapshot = self._finish_run()
         wall = _wallclock.perf_counter() - started
         return ClusterResult(
             dispatcher_name=getattr(
@@ -1112,31 +956,6 @@ class ClusterSimulator:
             tasks_submitted=self._tasks_submitted,
         )
 
-    # ------------------------------------------------------------ utilization
-
-    def _schedule_utilization_sample(self, window: float) -> None:
-        """Periodically close every live node's utilization window.
-
-        Mirrors :meth:`Simulator._schedule_utilization_sample`, which never
-        runs for node engines because the cluster owns the event loop.
-        """
-
-        def _sample() -> None:
-            for node in self.nodes:
-                if node.state is not NodeState.RETIRED and node.machine.cores:
-                    node.engine.collector.sample_utilization(
-                        node.machine.cores, self.now, window=window
-                    )
-            if self._work_can_progress():
-                self._schedule_utilization_sample(window)
-
-        self.events.push(
-            self.now + window,
-            _sample,
-            priority=EventPriority.CONTROL,
-            tag="cluster-utilization-sample",
-        )
-
     # ------------------------------------------------------------- autoscaler
 
     def _schedule_autoscaler_tick(self) -> None:
@@ -1171,43 +990,7 @@ class ClusterSimulator:
 
 
 def simulate_cluster(
-    tasks: Sequence[Task],
-    config: Optional[ClusterConfig] = None,
-    dispatcher: Optional[Dispatcher] = None,
-    autoscaler: Optional[ReactiveAutoscaler] = None,
-    migration_policy: Optional[MigrationPolicy] = None,
-    until: Optional[float] = None,
-    telemetry=None,
-    middleware=None,
-    chaos=None,
-) -> ClusterResult:
-    """One-call helper: build a cluster, route ``tasks`` through it, run it.
-
-    The cluster-level analogue of :func:`repro.simulation.engine.simulate`.
-    ``telemetry`` accepts a :class:`~repro.telemetry.spec.TelemetrySpec` (or
-    a live runtime) to record spans/gauges for the run.  ``middleware``
-    accepts a :class:`~repro.middleware.base.MiddlewareChain` or an iterable
-    of middleware instances to wrap the dispatch path; when omitted, the
-    config's declarative ``middleware`` specs (if any) are built instead.
-    ``chaos`` accepts a :class:`~repro.chaos.spec.ChaosSpec` (or dict) to
-    enable seeded fault injection; when omitted, the config's ``chaos``
-    spec (if any) is used instead.
-    """
-    cluster = ClusterSimulator(
-        config=config,
-        dispatcher=dispatcher,
-        autoscaler=autoscaler,
-        migration_policy=migration_policy,
-        telemetry=telemetry,
-        middleware=middleware,
-        chaos=chaos,
-    )
-    cluster.submit(tasks)
-    return cluster.run(until=until)
-
-
-def simulate_cluster_stream(
-    source,
+    workload,
     config: Optional[ClusterConfig] = None,
     dispatcher: Optional[Dispatcher] = None,
     autoscaler: Optional[ReactiveAutoscaler] = None,
@@ -1223,15 +1006,26 @@ def simulate_cluster_stream(
     metrics_policy: str = "reservoir",
     spill_dir: Optional[str] = None,
 ) -> ClusterResult:
-    """Streaming analogue of :func:`simulate_cluster`.
+    """One-call helper: build a cluster, route ``workload`` through it, run it.
 
-    ``source`` is a :class:`~repro.workload.streaming.StreamingWorkload`;
-    arrivals are generated lazily per sim-time window and fed into the
-    event heap ``chunk`` tasks at a time, refilled whenever fewer than
-    ``low_water`` arrivals remain pending.  ``metrics_cap`` bounds the
-    per-node and fleet columnar stores (``metrics_policy`` selects
-    reservoir sampling with exact aggregates, or disk spilling), so peak
-    memory stays O(horizon + cap) instead of O(total tasks).
+    The cluster-level analogue of :func:`repro.simulation.engine.simulate`.
+    ``workload`` is a task list, submitted up front, or a
+    :class:`~repro.workload.streaming.StreamingWorkload`, whose arrivals are
+    generated lazily per sim-time window and fed into the event heap
+    ``chunk`` tasks at a time, refilled whenever at most ``low_water`` fed
+    arrivals are still queued.  ``metrics_cap`` bounds the per-node and
+    fleet columnar stores (``metrics_policy`` selects reservoir sampling
+    with exact aggregates, or disk spilling under ``spill_dir``), so a
+    streamed run's peak memory stays O(horizon + cap) instead of O(total
+    tasks).  ``telemetry`` accepts a
+    :class:`~repro.telemetry.spec.TelemetrySpec` (or a live runtime) to
+    record spans/gauges for the run.  ``middleware`` accepts a
+    :class:`~repro.middleware.base.MiddlewareChain` or an iterable of
+    middleware instances to wrap the dispatch path; when omitted, the
+    config's declarative ``middleware`` specs (if any) are built instead.
+    ``chaos`` accepts a :class:`~repro.chaos.spec.ChaosSpec` (or dict) to
+    enable seeded fault injection; when omitted, the config's ``chaos``
+    spec (if any) is used instead.
     """
     cluster = ClusterSimulator(
         config=config,
@@ -1245,5 +1039,5 @@ def simulate_cluster_stream(
         metrics_policy=metrics_policy,
         spill_dir=spill_dir,
     )
-    cluster.submit_stream(source, chunk=chunk, low_water=low_water)
+    cluster._submit_workload(workload, chunk, low_water)
     return cluster.run(until=until)

@@ -242,7 +242,7 @@ class HybridScheduler(Scheduler):
 
     def _sampling_tick(self) -> None:
         self.sampler.sample(self.machine.cores, self.now)
-        if self.sim._unfinished > 0 or self.sim._pending_arrivals > 0:
+        if self.sim.has_pending_work():
             self._schedule_sampling()
 
     def _schedule_rightsizing(self) -> None:
@@ -258,7 +258,7 @@ class HybridScheduler(Scheduler):
             self._execute_migration(decision)
         self.sim.record_series("fifo_cores", self.machine.group_size(FIFO_GROUP))
         self.sim.record_series("cfs_cores", self.machine.group_size(CFS_GROUP))
-        if self.sim._unfinished > 0 or self.sim._pending_arrivals > 0:
+        if self.sim.has_pending_work():
             self._schedule_rightsizing()
 
     # --------------------------------------------------------- core migration
@@ -327,6 +327,25 @@ class HybridScheduler(Scheduler):
             self.sim.start_task(task, new_core)
             word = self.enclave.status_word(task.task_id)
             word.mark_on_cpu(new_core.core_id, self.now)
+
+    # --------------------------------------------------------------- stealing
+
+    # The FIFO queue is the hybrid's only queued work (CFS tasks are bound to
+    # cores on arrival), so it is what migration steals from and what a
+    # failing node hands back to the cluster.
+
+    def stealable_tasks(self) -> List[Task]:
+        return list(self.fifo_queue)
+
+    def stealable_count(self) -> int:
+        return sum(1 for task in self.fifo_queue if task.first_run_time is None)
+
+    def remove_queued_task(self, task: Task) -> bool:
+        for index, queued in enumerate(self.fifo_queue):
+            if queued is task:
+                del self.fifo_queue[index]
+                return True
+        return False
 
     # ---------------------------------------------------------------- reports
 

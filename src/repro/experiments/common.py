@@ -30,10 +30,8 @@ from repro.scenario.workloads import (  # noqa: F401  (re-exported API)
     two_minute_items,
     two_minute_workload,
 )
-from repro.schedulers.base import Scheduler
 from repro.simulation.config import SimulationConfig
 from repro.simulation.results import SimulationResult
-from repro.simulation.task import Task
 
 #: Enclave size used by every experiment (the paper uses 50 of the 72 cores).
 ENCLAVE_CORES = DEFAULT_NUM_CORES
@@ -212,30 +210,6 @@ def hybrid_scenario(
         num_cores=num_cores if num_cores is not None else ENCLAVE_CORES,
         **hybrid_kwargs(cfg),
     )
-
-
-def run_policy(
-    scheduler: Scheduler,
-    tasks: Sequence[Task],
-    num_cores: int = ENCLAVE_CORES,
-    config: Optional[SimulationConfig] = None,
-) -> SimulationResult:
-    """Run one already-built scheduler instance over explicit tasks.
-
-    Compatibility shim for callers holding instances (tests, the golden
-    suite); routes through the scenario pipeline's programmatic overrides.
-    New code should build a declarative :class:`Scenario` instead.
-    """
-    scenario = Scenario(
-        scheduler=getattr(scheduler, "name", type(scheduler).__name__),
-        num_cores=config.num_cores if config is not None else num_cores,
-    )
-    return run_scenario(
-        scenario,
-        tasks=list(tasks),
-        scheduler=scheduler,
-        sim_config=config or scenario.build_simulation_config(),
-    ).result
 
 
 # ---------------------------------------------------------------------------

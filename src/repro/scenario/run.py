@@ -16,13 +16,13 @@ from typing import List, Optional, Sequence, Union
 
 from repro.cluster.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.cluster.results import ClusterResult
-from repro.cluster.simulator import simulate_cluster, simulate_cluster_stream
+from repro.cluster.simulator import simulate_cluster
 from repro.cost.cost_model import ClusterCostBreakdown, CostBreakdown
 from repro.scenario.scenario import Scenario
 from repro.schedulers.registry import create_scheduler
 from repro.simulation.columns import TaskColumns
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate, simulate_stream
+from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
 from repro.simulation.results import SimulationResult
 from repro.simulation.task import Task
@@ -97,22 +97,35 @@ def run(
         until: Stop the simulation clock at this time (overrides the
             scenario's ``max_simulated_time``).
     """
+    stream_kwargs = {}
     if scenario.stream is not None:
+        # Arrivals come from a StreamingWorkload resolved through the
+        # stream-source registry (or a trace CSV), fed in chunks; metrics
+        # stay bounded per the spec's cap/policy.
+        from repro.scenario.workloads import build_stream_source
+
         if tasks is not None:
             raise ValueError(
                 "streaming scenarios generate arrivals lazily; explicit task "
                 "lists only apply to materialised scenarios"
             )
-        return _run_stream(scenario, scheduler=scheduler, sim_config=sim_config, until=until)
-
-    if tasks is None:
+        spec = scenario.stream
+        workload = build_stream_source(scenario.workload, spec, seed=scenario.seed)
+        stream_kwargs = dict(
+            chunk=spec.chunk,
+            low_water=spec.low_water,
+            metrics_cap=spec.metrics_cap,
+            metrics_policy=spec.metrics_policy,
+            spill_dir=spec.spill_dir,
+        )
+    elif tasks is None:
         if scenario.workload is None:
             raise ValueError(
                 "the scenario has no workload reference; pass explicit tasks"
             )
-        workload_tasks: List[Task] = scenario.workload.build()
+        workload = scenario.workload.build()
     else:
-        workload_tasks = list(tasks)
+        workload = list(tasks)
 
     model = scenario.cost.build_model()
     if scenario.is_cluster:
@@ -128,11 +141,12 @@ def run(
             else None
         )
         cluster_result = simulate_cluster(
-            workload_tasks,
+            workload,
             config=scenario.build_cluster_config(),
             autoscaler=autoscaler,
             until=until,
             telemetry=scenario.telemetry,
+            **stream_kwargs,
         )
         return RunResult(
             scenario=scenario,
@@ -145,85 +159,8 @@ def run(
         scenario.scheduler, **scenario.scheduler_kwargs
     )
     result = simulate(
-        policy, workload_tasks, config=config, until=until,
-        telemetry=scenario.telemetry,
-    )
-    if hasattr(model.pricing, "price_per_gb_second"):
-        cost = model.workload_cost_columns(result.task_columns())
-    else:
-        cost = model.workload_cost(result.finished_tasks)
-    return RunResult(
-        scenario=scenario,
-        result=result,
-        cost=cost,
-        scheduler=policy,
-    )
-
-
-def _run_stream(
-    scenario: Scenario,
-    *,
-    scheduler=None,
-    sim_config: Optional[SimulationConfig] = None,
-    until: Optional[float] = None,
-) -> RunResult:
-    """The streaming variant of :func:`run` (``scenario.stream`` is set).
-
-    Arrivals come from a :class:`~repro.workload.streaming.StreamingWorkload`
-    resolved through the stream-source registry (or a trace CSV), fed in
-    chunks; metrics stay bounded per the spec's cap/policy.  Costs come from
-    the columnar store — streaming results retain no task objects.
-    """
-    from repro.scenario.workloads import build_stream_source
-
-    spec = scenario.stream
-    source = build_stream_source(scenario.workload, spec, seed=scenario.seed)
-    model = scenario.cost.build_model()
-    if scenario.is_cluster:
-        if scheduler is not None or sim_config is not None:
-            raise ValueError(
-                "cluster scenarios build per-node schedulers and configs from "
-                "the registries; instance overrides only apply to "
-                "single-machine scenarios"
-            )
-        autoscaler = (
-            ReactiveAutoscaler(AutoscalerConfig(**scenario.autoscaler))
-            if scenario.autoscaler is not None
-            else None
-        )
-        cluster_result = simulate_cluster_stream(
-            source,
-            config=scenario.build_cluster_config(),
-            autoscaler=autoscaler,
-            until=until,
-            telemetry=scenario.telemetry,
-            chunk=spec.chunk,
-            low_water=spec.low_water,
-            metrics_cap=spec.metrics_cap,
-            metrics_policy=spec.metrics_policy,
-            spill_dir=spec.spill_dir,
-        )
-        return RunResult(
-            scenario=scenario,
-            result=cluster_result,
-            cost=model.cluster_cost(cluster_result),
-        )
-
-    config = sim_config or scenario.build_simulation_config()
-    policy = scheduler or create_scheduler(
-        scenario.scheduler, **scenario.scheduler_kwargs
-    )
-    result = simulate_stream(
-        policy,
-        source,
-        config=config,
-        until=until,
-        telemetry=scenario.telemetry,
-        chunk=spec.chunk,
-        low_water=spec.low_water,
-        metrics_cap=spec.metrics_cap,
-        metrics_policy=spec.metrics_policy,
-        spill_dir=spec.spill_dir,
+        policy, workload, config=config, until=until,
+        telemetry=scenario.telemetry, **stream_kwargs,
     )
     if hasattr(model.pricing, "price_per_gb_second"):
         cost = model.workload_cost_columns(result.task_columns())

@@ -80,7 +80,7 @@ class CFSScheduler(Scheduler):
 
     def _run_balance_pass(self) -> None:
         self._balance_once()
-        if self.sim._unfinished > 0 or self.sim._pending_arrivals > 0:
+        if self.sim.has_pending_work():
             self._schedule_balance()
 
     def _balance_once(self) -> None:

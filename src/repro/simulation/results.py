@@ -45,10 +45,11 @@ class SimulationResult:
     columns: Optional[TaskColumns] = None
     #: Frozen telemetry of the run (``None`` unless telemetry was enabled).
     telemetry: Optional[TelemetrySnapshot] = None
-    #: Tasks fed to the run.  Streaming runs leave ``tasks`` empty (task
-    #: objects are not retained), so count-based accessors fall back to this
-    #: and to the columnar store; 0 means "not recorded — use len(tasks)".
-    tasks_submitted: int = 0
+    #: Arrivals the run took in (a run cut off by a time limit counts only
+    #: those that arrived before the cut).  Count-based accessors read this
+    #: — streaming runs leave ``tasks`` empty — and ``None`` means "not
+    #: recorded — use len(tasks)".
+    tasks_submitted: Optional[int] = None
 
     # ---------------------------------------------------------------- columns
 
@@ -70,8 +71,8 @@ class SimulationResult:
 
     @property
     def total_tasks(self) -> int:
-        """Tasks fed to the run (works for streaming runs with no task list)."""
-        return len(self.tasks) if self.tasks else self.tasks_submitted
+        """Tasks the run took in (works for streaming runs with no task list)."""
+        return len(self.tasks) if self.tasks_submitted is None else self.tasks_submitted
 
     @property
     def finished_count(self) -> int:

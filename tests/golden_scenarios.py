@@ -36,7 +36,6 @@ from repro.cluster import ClusterConfig, NodeSpec, simulate_cluster
 from repro.core.hybrid import HybridScheduler
 from repro.experiments.common import (
     paper_hybrid_config,
-    run_policy,
     two_minute_workload,
 )
 from repro.schedulers.cfs import CFSScheduler
@@ -81,7 +80,7 @@ def scenario_cfs_high_mp() -> Dict[str, float]:
 
 
 def scenario_hybrid_fig12() -> Dict[str, float]:
-    result = run_policy(
+    result = simulate(
         HybridScheduler(paper_hybrid_config()), two_minute_workload(0.2)
     )
     metrics = _summary_metrics(result.summary())

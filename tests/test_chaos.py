@@ -46,6 +46,7 @@ from repro.cluster.migration import WorkStealingPolicy
 from repro.experiments.common import run_experiment, two_minute_workload
 from repro.middleware import TimeoutRetryMiddleware
 from repro.scenario import Scenario, Workload
+from repro.schedulers.registry import available_schedulers
 from repro.simulation.events import EventPriority
 from repro.simulation.task import Task, make_tasks
 
@@ -385,6 +386,39 @@ class TestCrashFailures:
         assert result.nodes_failed == 2
         assert result.completion_ratio < 1.0
         assert result.unserved_tasks() > 0
+
+
+class TestEverySchedulerSurvivesFailures:
+    """Node failures work whatever per-node scheduler holds the queued work:
+    the run completes and every submitted task is finished or unserved,
+    finished exactly once."""
+
+    @pytest.mark.parametrize("fault", ["crash_rate", "revocation_rate"])
+    @pytest.mark.parametrize("scheduler", available_schedulers())
+    def test_failures_conserve_tasks(self, scheduler, fault):
+        tasks = two_minute_workload(0.05)
+        result = simulate_cluster(
+            tasks,
+            config=ClusterConfig(
+                num_nodes=4,
+                cores_per_node=8,
+                scheduler=scheduler,
+                dispatcher="jsq",
+                chaos=ChaosSpec(**{fault: 0.1}),
+            ),
+        )
+        # Nodes failed with work on board.
+        assert result.nodes_failed > 0 and result.tasks_lost > 0
+        finished = [task for task in tasks if task.is_finished]
+        unfinished = len(tasks) - len(finished)
+        assert result.tasks_submitted == len(tasks)
+        assert result.finished_count == len(finished)
+        assert result.unserved_tasks() == unfinished
+        assert len(finished) + result.unserved_tasks() == result.tasks_submitted
+        # One row per completion: a task finishing twice would add two.
+        assert len(result.task_columns()) == len(finished)
+        completed = sum(stats["completed"] for stats in result.node_stats.values())
+        assert completed == len(finished)
 
 
 # --------------------------------------------------------------- revocations

@@ -81,9 +81,9 @@ class TestHeadlineClaims:
 
     def test_metric_row_shape(self):
         from repro.schedulers.fifo import FIFOScheduler
-        from repro.experiments.common import run_policy
+        from repro.simulation.engine import simulate
 
-        result = run_policy(FIFOScheduler(), two_minute_workload(0.05))
+        result = simulate(FIFOScheduler(), two_minute_workload(0.05))
         row = metric_row(result)
         assert set(row) == {
             "p50_execution", "p99_execution", "p50_response", "p99_response",

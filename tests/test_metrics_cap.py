@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, simulate_cluster_stream
+from repro.cluster import ClusterConfig, simulate_cluster
 from repro.cost.cost_model import CostModel
 from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.columns import (
@@ -24,7 +24,7 @@ from repro.simulation.columns import (
     merge_columns,
 )
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate_stream
+from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
 from repro.simulation.task import Task
 
@@ -166,8 +166,8 @@ class TestFactoryAndMerge:
 class TestCappedStreamingRuns:
     def test_single_machine_summary_exact_past_cap(self):
         config = SimulationConfig(num_cores=2)
-        ref = simulate_stream(FIFOScheduler(), make_source(), config=config)
-        capped = simulate_stream(
+        ref = simulate(FIFOScheduler(), make_source(), config=config)
+        capped = simulate(
             FIFOScheduler(), make_source(), config=config, metrics_cap=10
         )
         exact, sampled = ref.summary(), capped.summary()
@@ -180,8 +180,8 @@ class TestCappedStreamingRuns:
 
     def test_cluster_run_with_cap_keeps_helpers_working(self):
         config = ClusterConfig(num_nodes=3, cores_per_node=2, dispatcher="jsq")
-        ref = simulate_cluster_stream(make_source(), config=config)
-        capped = simulate_cluster_stream(make_source(), config=config, metrics_cap=10)
+        ref = simulate_cluster(make_source(), config=config)
+        capped = simulate_cluster(make_source(), config=config, metrics_cap=10)
         assert capped.summary().count == TOTAL_TASKS
         assert capped.summary().mean_turnaround == pytest.approx(
             ref.summary().mean_turnaround, abs=1e-12
@@ -192,8 +192,8 @@ class TestCappedStreamingRuns:
 
     def test_cluster_spill_run_is_exact(self, tmp_path):
         config = ClusterConfig(num_nodes=2, cores_per_node=2, dispatcher="jsq")
-        ref = simulate_cluster_stream(make_source(), config=config)
-        spilled = simulate_cluster_stream(
+        ref = simulate_cluster(make_source(), config=config)
+        spilled = simulate_cluster(
             make_source(),
             config=config,
             metrics_cap=8,

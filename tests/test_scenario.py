@@ -15,10 +15,10 @@ from repro.cost.cost_model import ClusterCostBreakdown, CostBreakdown
 from repro.experiments.common import (
     hybrid_kwargs,
     paper_hybrid_config,
-    run_policy,
     two_minute_workload,
 )
 from repro.scenario import CostSpec, Scenario, Workload, available_workloads, run
+from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
 
 
@@ -119,7 +119,7 @@ class TestSingleMachineEquivalence:
     """Scenario -> dict -> Scenario -> run == the direct instance-based run."""
 
     def test_fifo_bit_identical(self):
-        direct = run_policy(
+        direct = simulate(
             __import__("repro.schedulers.fifo", fromlist=["FIFOScheduler"]).FIFOScheduler(),
             two_minute_workload(0.05),
         )
@@ -131,7 +131,7 @@ class TestSingleMachineEquivalence:
         assert declarative.total_preemptions() == direct.total_preemptions()
 
     def test_hybrid_bit_identical(self):
-        direct = run_policy(
+        direct = simulate(
             HybridScheduler(paper_hybrid_config()), two_minute_workload(0.05)
         )
         scenario = roundtrip(

@@ -21,14 +21,13 @@ from repro.cluster import (
     ClusterConfig,
     NetworkSpec,
     simulate_cluster,
-    simulate_cluster_stream,
 )
 from repro.scenario import Scenario, Workload, build_stream_source, run
 from repro.scenario.workloads import available_stream_sources, create_stream_source
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate, simulate_stream
+from repro.simulation.engine import simulate
 from repro.telemetry import ProgressReporter, TelemetrySpec
 from repro.workload.extraction import TraceBucket
 from repro.workload.streaming import (
@@ -173,7 +172,7 @@ class TestSingleMachineEquivalence:
     def test_stream_matches_materialised(self):
         config = SimulationConfig(num_cores=2)
         ref = simulate(FIFOScheduler(), make_source().materialise(), config=config)
-        got = simulate_stream(FIFOScheduler(), make_source(), config=config, chunk=7)
+        got = simulate(FIFOScheduler(), make_source(), config=config, chunk=7)
         assert not got.tasks  # streaming runs retain no task objects
         assert len(got.task_columns()) == TOTAL_TASKS
         assert_same_columns(ref, got)
@@ -182,7 +181,7 @@ class TestSingleMachineEquivalence:
     def test_stream_matches_under_preemption(self):
         config = SimulationConfig(num_cores=1)
         ref = simulate(CFSScheduler(), make_source().materialise(), config=config)
-        got = simulate_stream(CFSScheduler(), make_source(), config=config, chunk=3)
+        got = simulate(CFSScheduler(), make_source(), config=config, chunk=3)
         assert_same_columns(ref, got)
 
     def test_until_cuts_both_paths_identically(self):
@@ -190,11 +189,36 @@ class TestSingleMachineEquivalence:
         ref = simulate(
             FIFOScheduler(), make_source().materialise(), config=config, until=130.0
         )
-        got = simulate_stream(
+        got = simulate(
             FIFOScheduler(), make_source(), config=config, until=130.0, chunk=4
         )
         assert len(got.task_columns()) == len(ref.task_columns())
         assert_same_columns(ref, got)
+        # "Submitted" counts the arrivals taken in before the cut, on both
+        # feeds and both simulators, whatever the chunk size.
+        arrived = sum(
+            1 for task in make_source().materialise() if task.arrival_time <= 130.0
+        )
+        assert 0 < arrived < TOTAL_TASKS
+        cluster_config = ClusterConfig(**CLUSTER_KW)
+        cluster_ref = simulate_cluster(
+            make_source().materialise(), config=cluster_config, until=130.0
+        )
+        for result in (ref, cluster_ref):
+            assert result.tasks_submitted == result.total_tasks == arrived
+        assert cluster_ref.unserved_tasks() == arrived - cluster_ref.finished_count
+        for chunk in (1, 4, 8192):
+            got = simulate(
+                FIFOScheduler(), make_source(), config=config, until=130.0, chunk=chunk
+            )
+            assert got.tasks_submitted == got.total_tasks == arrived
+            assert got.finished_count == ref.finished_count
+            cluster_got = simulate_cluster(
+                make_source(), config=cluster_config, until=130.0, chunk=chunk
+            )
+            assert cluster_got.tasks_submitted == cluster_got.total_tasks == arrived
+            assert cluster_got.finished_count == cluster_ref.finished_count
+            assert cluster_got.unserved_tasks() == cluster_ref.unserved_tasks()
 
 
 CLUSTER_KW = dict(num_nodes=3, cores_per_node=2, scheduler="fifo", dispatcher="jsq")
@@ -204,7 +228,7 @@ class TestClusterEquivalence:
     def test_stream_matches_materialised(self):
         config = ClusterConfig(**CLUSTER_KW)
         ref = simulate_cluster(make_source().materialise(), config=config)
-        got = simulate_cluster_stream(make_source(), config=config, chunk=7)
+        got = simulate_cluster(make_source(), config=config, chunk=7)
         assert not got.tasks
         assert got.tasks_submitted == TOTAL_TASKS
         assert got.finished_count == len(ref.finished_tasks)
@@ -219,14 +243,14 @@ class TestClusterEquivalence:
         # reserved negative sequence range exists to break.
         config = ClusterConfig(network=NetworkSpec(rtt=0.004), **CLUSTER_KW)
         ref = simulate_cluster(make_source().materialise(), config=config)
-        got = simulate_cluster_stream(make_source(), config=config, chunk=5)
+        got = simulate_cluster(make_source(), config=config, chunk=5)
         assert_same_columns(ref, got)
         assert got.mean_ingress_wait() == ref.mean_ingress_wait()
 
     def test_stream_matches_with_work_stealing(self):
         config = ClusterConfig(migration="work_stealing", **CLUSTER_KW)
         ref = simulate_cluster(make_source().materialise(), config=config)
-        got = simulate_cluster_stream(make_source(), config=config, chunk=9)
+        got = simulate_cluster(make_source(), config=config, chunk=9)
         assert_same_columns(ref, got)
 
 
@@ -246,7 +270,7 @@ class TestChunkInvariance:
     def test_single_machine(self, chunk, low_water):
         config = SimulationConfig(num_cores=2)
         ref = simulate(FIFOScheduler(), make_source().materialise(), config=config)
-        got = simulate_stream(
+        got = simulate(
             FIFOScheduler(),
             make_source(),
             config=config,
@@ -265,7 +289,7 @@ class TestChunkInvariance:
     def test_cluster_with_rtt(self, chunk):
         config = ClusterConfig(network=NetworkSpec(rtt=0.01), **CLUSTER_KW)
         ref = simulate_cluster(make_source().materialise(), config=config)
-        got = simulate_cluster_stream(make_source(), config=config, chunk=chunk)
+        got = simulate_cluster(make_source(), config=config, chunk=chunk)
         assert_same_columns(ref, got)
 
 
@@ -300,7 +324,7 @@ class TestUnknownTotalProgress:
     def test_streaming_run_reports_without_total(self):
         telemetry = TelemetrySpec(progress=True, progress_interval=0.0).build()
         telemetry.progress.stream = io.StringIO()
-        result = simulate_stream(
+        result = simulate(
             FIFOScheduler(),
             _UnboundedSource(make_source()),
             config=SimulationConfig(num_cores=2),
@@ -315,7 +339,7 @@ class TestUnknownTotalProgress:
     def test_streaming_run_uses_hint_when_available(self):
         telemetry = TelemetrySpec(progress=True, progress_interval=0.0).build()
         telemetry.progress.stream = io.StringIO()
-        simulate_stream(
+        simulate(
             FIFOScheduler(),
             make_source(),
             config=SimulationConfig(num_cores=2),
@@ -408,7 +432,7 @@ class TestInvocationCsv:
             ],
         )
         source = csv_stream_source(path)
-        result = simulate_cluster_stream(
+        result = simulate_cluster(
             source, config=ClusterConfig(num_nodes=2, cores_per_node=2), chunk=16
         )
         assert result.finished_count == 85

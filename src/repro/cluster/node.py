@@ -58,6 +58,9 @@ class ClusterNode:
         self.spec = spec or NodeSpec(
             cores=config.num_cores, speed_factor=config.core_speed
         )
+        #: Service capacity in baseline-core equivalents (cores x speed),
+        #: read once from the frozen spec.
+        self.capacity: float = self.spec.capacity
         self.engine = MachineEngine(machine, scheduler, loop, config=config)
         self.engine.node = self
         self.inflight = 0
@@ -87,7 +90,8 @@ class ClusterNode:
         self.retired_at: Optional[float] = None
         self._started = False
         # Called with this node after any load change (inflight or busy-core
-        # count); the cluster hooks it to refresh its dispatch load index.
+        # count); the cluster hooks it to mark the node dirty in its
+        # dispatch load index.
         self.load_listener: Optional[Callable[["ClusterNode"], None]] = None
         machine.on_load_change = self._notify_load
         # Telemetry hooks, assigned by the cluster when tracing is enabled
@@ -182,11 +186,6 @@ class ClusterNode:
         return lost
 
     # ------------------------------------------------------------------- load
-
-    @property
-    def capacity(self) -> float:
-        """Service capacity in baseline-core equivalents (cores x speed)."""
-        return self.spec.capacity
 
     def uptime(self, now: float) -> float:
         """Billed seconds: commissioning (boot included) until retirement.

@@ -63,15 +63,9 @@ class Scheduler(ABC):
 
     # -------------------------------------------------------------- helpers
 
-    def idle_cores(self, group: Optional[str] = None) -> List[Core]:
-        return self.machine.idle_cores(group)
-
     def first_idle_core(self, group: Optional[str] = None) -> Optional[Core]:
         """Lowest-id idle, unlocked core (deterministic tie-breaking)."""
-        idle = self.idle_cores(group)
-        if not idle:
-            return None
-        return min(idle, key=lambda core: core.core_id)
+        return self.machine.first_idle_core(group)
 
     def default_group(self) -> str:
         """Name of the single group used by non-hybrid policies."""

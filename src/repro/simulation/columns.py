@@ -42,6 +42,12 @@ TASK_COLUMNS_DTYPE = np.dtype(
 #: Initial capacity of an incrementally filled store.
 _INITIAL_CAPACITY = 256
 
+#: Reservoir slots drawn per numpy call once a reservoir is past its cap.
+#: ``rng.integers(0, highs)`` over an array of consecutive bounds yields the
+#: same values as one scalar ``rng.integers(0, high)`` call per bound, so
+#: the block size never changes which rows are kept.
+_SLOT_BLOCK = 256
+
 
 class TaskColumns:
     """Growable structured-array store of finished-task metrics.
@@ -188,11 +194,14 @@ class ReservoirTaskColumns(TaskColumns):
     which percentile/CDF consumers read transparently.  ``len()`` reports
     the *true* task count, not the sample size.  With ``cap >= N`` nothing
     is ever evicted, so the store degrades to a plain :class:`TaskColumns`.
+    Past the cap, replacement slots are drawn :data:`_SLOT_BLOCK` at a time.
     """
 
     __slots__ = (
         "cap",
         "_rng",
+        "_slots",
+        "_slots_base",
         "_seen",
         "_sum_execution",
         "_sum_response",
@@ -209,6 +218,9 @@ class ReservoirTaskColumns(TaskColumns):
         super().__init__()
         self.cap = int(cap)
         self._rng = np.random.default_rng(seed)
+        #: Pre-drawn replacement slots for rows ``_slots_base`` onwards.
+        self._slots: List[int] = []
+        self._slots_base = 0
         self._seen = 0
         self._sum_execution = 0.0
         self._sum_response = 0.0
@@ -237,25 +249,36 @@ class ReservoirTaskColumns(TaskColumns):
         self._sum_turn_gb += turnaround * memory_gb
         if completion > self._makespan:
             self._makespan = completion
-        if index < self.cap:
-            super().append(task)
-            return
-        slot = int(self._rng.integers(0, index + 1))
-        if slot < self.cap:
-            last_core = task.last_core
+        cap = self.cap
+        if index >= cap:
+            offset = index - self._slots_base
+            if offset >= len(self._slots):
+                self._slots = self._rng.integers(
+                    0, np.arange(index + 1, index + 1 + _SLOT_BLOCK)
+                ).tolist()
+                self._slots_base = index
+                offset = 0
+            slot = self._slots[offset]
+            if slot >= cap:
+                return
+        last_core = task.last_core
+        row = (
+            task.task_id,
+            arrival,
+            task.service_time,
+            first_run,
+            completion,
+            task.memory_mb,
+            task.weight,
+            task.preemptions,
+            task.migrations,
+            NO_CORE if last_core is None else last_core,
+        )
+        if index < cap:
+            self._pending.append(row)
+        else:
             self._flush()
-            self._data[slot] = (
-                task.task_id,
-                arrival,
-                task.service_time,
-                first_run,
-                completion,
-                task.memory_mb,
-                task.weight,
-                task.preemptions,
-                task.migrations,
-                NO_CORE if last_core is None else last_core,
-            )
+            self._data[slot] = row
 
     def __len__(self) -> int:
         return self._seen

@@ -55,6 +55,10 @@ REMAINING_EPSILON = 1e-9
 ATTAINED_REBASE_THRESHOLD = 1e6
 
 
+def _ignore_load(core: "Core") -> None:
+    """Load listener of a core no machine indexes (standalone cores)."""
+
+
 class CoreMode(Enum):
     """How a scheduler intends to use a core.
 
@@ -104,6 +108,8 @@ class Core:
         "_engine",
         "_attained",
         "_total_weight",
+        "_rate",
+        "_switch_rate",
         "_vstart",
         "_entries",
         "_finish_heap",
@@ -143,6 +149,10 @@ class Core:
         self._attained = 0.0
         #: Sum of the assigned tasks' fair-share weights.
         self._total_weight = 0.0
+        #: Service rate per unit weight and context-switch rate of the
+        #: current task set; recomputed only when that set changes.
+        self._rate = 0.0
+        self._switch_rate = 0.0
         #: Attained-counter value at each task's last materialization.
         self._vstart: Dict[int, float] = {}
         #: Live heap entry per task id: (virtual finish point, sequence).
@@ -152,7 +162,7 @@ class Core:
         self._entry_seq = 0
         # Called with this core after any nr_running / locked change; set by
         # the machine to keep its idle/least-loaded indexes current.
-        self._load_listener: Optional[Callable[["Core"], None]] = None
+        self._load_listener: Callable[["Core"], None] = _ignore_load
 
     # ------------------------------------------------------------------ state
 
@@ -192,13 +202,11 @@ class Core:
         at the default 1.0 this is exactly the equal per-task share
         ``speed * efficiency(n) / n``.
         """
-        if not self._tasks:
-            return 0.0
-        return self.speed * self._cs_model.efficiency(len(self._tasks)) / self._total_weight
+        return self._rate
 
     def time_to_next_completion(self) -> Optional[float]:
         """Seconds until the earliest assigned task completes, or None if idle."""
-        rate = self.service_rate()
+        rate = self._rate
         if rate <= 0.0:
             return None
         vfinish = self._peek_min_vfinish()
@@ -271,6 +279,7 @@ class Core:
         self._total_weight += task.weight
         self._vstart[task.task_id] = self._attained
         self._push_entry(task)
+        self._rates_changed()
 
     def _detach(self, task: Task) -> None:
         del self._tasks[task.task_id]
@@ -288,10 +297,17 @@ class Core:
             self._attained = 0.0
             self._total_weight = 0.0
             self._finish_heap.clear()
+            self._rate = 0.0
+            self._switch_rate = 0.0
+        else:
+            self._rates_changed()
 
-    def _notify_load(self) -> None:
-        if self._load_listener is not None:
-            self._load_listener(self)
+    def _rates_changed(self) -> None:
+        """Cache the rates of the current, non-empty task set."""
+        n = len(self._tasks)
+        model = self._cs_model
+        self._rate = self.speed * model.efficiency(n) / self._total_weight
+        self._switch_rate = model.switch_rate(n)
 
     # ------------------------------------------------------------- progression
 
@@ -311,16 +327,14 @@ class Core:
         if elapsed <= 0:
             self._last_update = max(self._last_update, now)
             return
-        n = len(self._tasks)
-        if n > 0:
-            rate = self.service_rate()
-            delivered = rate * elapsed  # service per unit weight
+        if self._tasks:
+            delivered = self._rate * elapsed  # service per unit weight
             self._attained += delivered
-            self.stats.busy_time += elapsed
-            self.stats.service_delivered += self._total_weight * delivered
-            self.stats.estimated_context_switches += self._cs_model.switches_over(
-                n, elapsed
-            )
+            stats = self.stats
+            stats.busy_time += elapsed
+            stats.service_delivered += self._total_weight * delivered
+            # ContextSwitchModel.switches_over(n, elapsed), from the cached rate.
+            stats.estimated_context_switches += self._switch_rate * elapsed
             if self._attained > ATTAINED_REBASE_THRESHOLD:
                 self._rebase()
         self._last_update = now
@@ -381,7 +395,7 @@ class Core:
         task.mark_running(now, self.core_id)
         self._attach(task)
         self.stats.tasks_started += 1
-        self._notify_load()
+        self._load_listener(self)
 
     def remove_task(self, task: Task, now: float, *, preempted: bool = False) -> Task:
         """Detach ``task`` from this core at ``now``.
@@ -401,7 +415,7 @@ class Core:
             task.mark_preempted()
             self.stats.explicit_preemptions += 1
             self.stats.migrations_out += 1
-        self._notify_load()
+        self._load_listener(self)
         return task
 
     def finish_ready_tasks(self, now: float) -> list[Task]:
@@ -434,7 +448,7 @@ class Core:
             task.mark_finished(now)
             self.stats.tasks_completed += 1
             finished.append(task)
-        self._notify_load()
+        self._load_listener(self)
         return finished
 
     def drain(self, now: float) -> list[Task]:
@@ -450,12 +464,12 @@ class Core:
     def lock(self) -> None:
         """Prevent new task assignments (step 1 of the Fig. 8 protocol)."""
         self.locked = True
-        self._notify_load()
+        self._load_listener(self)
 
     def unlock(self) -> None:
         """Re-enable task assignments (final step of the Fig. 8 protocol)."""
         self.locked = False
-        self._notify_load()
+        self._load_listener(self)
 
     def change_group(self, new_group: str, mode: Optional[CoreMode] = None) -> None:
         """Move this core to another policy group."""

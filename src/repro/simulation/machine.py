@@ -146,14 +146,12 @@ class Machine:
     def _core_load_changed(self, core: Core) -> None:
         """Core callback: refresh every index after an nr/locked change."""
         cid = core.core_id
-        nr = core.nr_running
+        nr = len(core._tasks)
         locked = core.locked
         prev_nr, prev_locked = self._observed[cid]
         if nr == prev_nr and locked == prev_locked:
             return
         self._observed[cid] = (nr, locked)
-        version = self._load_version[cid] + 1
-        self._load_version[cid] = version
         group = core.group
 
         delta = nr - prev_nr
@@ -171,25 +169,29 @@ class Machine:
                 self._idle_ids[group].discard(cid)
                 self._idle_all.discard(cid)
 
-        if not locked:
-            entry = (nr, cid, version)
-            if group in self._heap_groups:
-                heap = self._load_heaps[group]
-                if len(heap) > max(16, 4 * len(self._sorted_ids[group])):
-                    # Compact: stale entries below the top are never popped.
-                    heap = self._load_heaps[group] = self._build_heap(
-                        self.group_cores(group)
-                    )
-                else:
-                    heapq.heappush(heap, entry)
-            if self._track_global_heap:
-                if len(self._load_heap_all) > max(16, 4 * len(self.cores)):
-                    self._load_heap_all = self._build_heap(self.cores)
-                else:
-                    heapq.heappush(self._load_heap_all, entry)
+        # Versions only matter to heap entries: skip them until some
+        # least_loaded_core query starts a heap.
+        if self._heap_groups or self._track_global_heap:
+            version = self._load_version[cid] + 1
+            self._load_version[cid] = version
+            if not locked:
+                entry = (nr, cid, version)
+                if group in self._heap_groups:
+                    heap = self._load_heaps[group]
+                    if len(heap) > max(16, 4 * len(self._sorted_ids[group])):
+                        # Compact: stale entries below the top are never popped.
+                        heap = self._load_heaps[group] = self._build_heap(
+                            self.group_cores(group)
+                        )
+                    else:
+                        heapq.heappush(heap, entry)
+                if self._track_global_heap:
+                    if len(self._load_heap_all) > max(16, 4 * len(self.cores)):
+                        self._load_heap_all = self._build_heap(self.cores)
+                    else:
+                        heapq.heappush(self._load_heap_all, entry)
 
-        busy_changed = (prev_nr > 0) != (nr > 0)
-        if busy_changed:
+        if (prev_nr > 0) != (nr > 0):
             self._busy_count += 1 if nr > 0 else -1
             if self.on_load_change is not None:
                 self.on_load_change()
@@ -253,6 +255,18 @@ class Machine:
         else:
             ids = self._idle_all
         return [self.cores[cid] for cid in sorted(ids)]
+
+    def first_idle_core(self, group: Optional[str] = None) -> Optional[Core]:
+        """Lowest-id idle, unlocked core — optionally in one group — or None."""
+        if group is not None:
+            ids = self._idle_ids.get(group)
+            if ids is None:
+                self.group(group)  # raises KeyError for unknown groups
+        else:
+            ids = self._idle_all
+        if not ids:
+            return None
+        return self.cores[min(ids)]
 
     def busy_cores(self, group: Optional[str] = None) -> List[Core]:
         cores = self.group_cores(group) if group else self.cores

@@ -171,11 +171,11 @@ class MetricsCollector:
     # ----------------------------------------------------------------- tasks
 
     def on_task_finished(self, task: Task) -> None:
-        if not task.is_finished:
-            raise ValueError(f"task {task.task_id} is not finished")
+        # The store raises ValueError for an unfinished task, before the
+        # task is kept.
+        self.columns.append(task)
         if self.keep_tasks:
             self.finished_tasks.append(task)
-        self.columns.append(task)
 
     # ------------------------------------------------------------ time series
 

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from repro.cluster.config import NodeSpec
+from repro.simulation.columns import TaskColumns
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import EventLoop, MachineEngine
 from repro.simulation.machine import Machine
@@ -63,6 +64,7 @@ class ClusterNode:
         self.capacity: float = self.spec.capacity
         self.engine = MachineEngine(machine, scheduler, loop, config=config)
         self.engine.node = self
+        self.engine.node_id = node_id
         self.inflight = 0
         #: Tasks dispatched to this node but still in flight on the wire
         #: (inside the ingress queue); they count toward the node's load but
@@ -392,19 +394,29 @@ class ClusterNode:
 
     # ---------------------------------------------------------------- results
 
-    def build_result(self, simulated_time: float) -> SimulationResult:
-        """Freeze this node's run into a standard single-machine result."""
+    def build_result(
+        self, simulated_time: float, tasks: List[Task], columns: TaskColumns
+    ) -> SimulationResult:
+        """Freeze this node's run into a standard single-machine result.
+
+        ``tasks`` and ``columns`` are the node's finished tasks and its rows
+        of the run's store.  The node counts as having taken in what it
+        finished (its tasks, or its rows on a streamed run), so
+        ``finished_count == total_tasks`` on both feeds.
+        """
         return build_result(
             scheduler_name=getattr(
                 self.scheduler, "name", type(self.scheduler).__name__
             ),
             config=self.engine.config,
-            tasks=list(self.engine.collector.finished_tasks),
+            tasks=tasks,
             cores=self.machine.cores,
             collector=self.engine.collector,
+            columns=columns,
             simulated_time=simulated_time,
             wall_clock_seconds=0.0,
             events_processed=0,
+            tasks_submitted=len(tasks) if tasks else len(columns),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -54,8 +54,9 @@ class ClusterResult:
     middleware_names: List[str] = field(default_factory=list)
     #: Per-middleware counters keyed by chain name (see ``Middleware.stats``).
     middleware_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Fleet-wide columnar store of finished tasks, filled incrementally by
-    #: the cluster during the run; built lazily for hand-assembled results.
+    #: The run's columnar store of finished tasks (every node's, each row
+    #: tagged with its ``node_id``), filled incrementally during the run;
+    #: built lazily for hand-assembled results.
     columns: Optional[TaskColumns] = None
     #: Frozen telemetry of the run (``None`` unless telemetry was enabled).
     telemetry: Optional[TelemetrySnapshot] = None
@@ -112,7 +113,18 @@ class ClusterResult:
 
     @property
     def num_nodes(self) -> int:
+        """Nodes ever commissioned (initial fleet, scale-ups, replacements)."""
         return len(self.node_results)
+
+    def nodes_in_service(self) -> int:
+        """Nodes neither retired nor failed when the run ended."""
+        if not self.node_stats:
+            return self.num_nodes
+        return sum(
+            1
+            for stats in self.node_stats.values()
+            if stats.get("retired_at", -1.0) == -1.0
+        )
 
     def tasks_per_node(self) -> Dict[int, int]:
         """Completed invocations per node (dispatch balance)."""
@@ -305,8 +317,10 @@ class ClusterResult:
                 f"{self.wasted_service:.2f}s wasted"
             )
         lines += [
-            f"nodes (final fleet)  : {self.num_nodes}"
-            f" (+{self.nodes_added}/-{self.nodes_removed} scaled)",
+            f"nodes (final fleet)  : {self.nodes_in_service()}"
+            f" of {self.num_nodes} commissioned"
+            f" (+{self.nodes_added}/-{self.nodes_removed} scaled,"
+            f" {self.nodes_failed} failed)",
             f"fleet capacity       : {self.total_capacity():.1f} baseline cores",
             f"tasks (finished/all) : {self.finished_count}/{self.total_tasks}",
             f"tasks per node       : {spread}",
@@ -326,3 +340,27 @@ class ClusterResult:
         if self.telemetry is not None:
             lines.append(f"telemetry            : {self.telemetry.summary_line()}")
         return "\n".join(lines)
+
+
+def per_node_results(nodes, tasks, columns: TaskColumns, simulated_time: float):
+    """Per-node :class:`SimulationResult` views of one cluster run.
+
+    A node's ``columns`` are its rows of the run's store and its ``tasks``
+    the finished tasks it served, found in one pass over ``tasks`` (empty on
+    streamed runs).  Under a reservoir cap the rows are the node's share of
+    the fleet sample, so per-node percentiles and means are estimates.
+    """
+    finished_on = {node.node_id: [] for node in nodes}
+    for task in tasks:
+        if task.is_finished:
+            finished_on[task.metadata["node_id"]].append(task)
+    rows = columns.data
+    row_nodes = rows["node_id"]
+    return {
+        node.node_id: node.build_result(
+            simulated_time,
+            finished_on[node.node_id],
+            TaskColumns.from_rows(rows[row_nodes == node.node_id]),
+        )
+        for node in nodes
+    }

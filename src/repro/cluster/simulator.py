@@ -28,14 +28,14 @@ from repro.cluster.load_index import ActiveNodeView, NodeLoadIndex
 from repro.cluster.migration import Migration, MigrationPolicy
 from repro.cluster.node import ClusterNode, NodeState
 from repro.cluster.registry import create_dispatcher, create_migration_policy
-from repro.cluster.results import ClusterResult
+from repro.cluster.results import ClusterResult, per_node_results
 from repro.middleware.base import ADMIT_TAG, DEFER, TIMEOUT_TAG, MiddlewareChain
 from repro.schedulers.registry import create_scheduler
 from repro.simulation.columns import build_columns_store
 from repro.simulation.engine import EventLoop, SimulationError
 from repro.simulation.events import EventPriority
 from repro.simulation.machine import Machine
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.metrics import record_series
 from repro.simulation.task import Task
 from repro.telemetry.runtime import as_telemetry
 from repro.telemetry.tracer import (
@@ -73,8 +73,16 @@ class ClusterSimulator(EventLoop):
         metrics_policy: str = "reservoir",
         spill_dir: Optional[str] = None,
     ) -> None:
-        super().__init__()
-        self.config = config or ClusterConfig()
+        config = config or ClusterConfig()
+        super().__init__(
+            build_columns_store(
+                metrics_cap,
+                policy=metrics_policy,
+                spill_dir=spill_dir,
+                seed=config.seed,
+            )
+        )
+        self.config = config
         # Node engines share this config's time limit and sampling settings.
         self._loop_config = self.config.build_node_config()
         self.dispatcher = dispatcher or self._build_dispatcher()
@@ -105,20 +113,6 @@ class ClusterSimulator(EventLoop):
         if index_key is not None:
             self._load_index.register(*index_key)
         self.nodes: List[ClusterNode] = []
-        # Memory-bounding policy for columnar metrics: applied to the fleet
-        # store here and to every node store (including autoscaler scale-ups)
-        # in _create_node.  Node reservoirs get derived seeds so fleets stay
-        # deterministic per node id.
-        self._metrics_cap = metrics_cap
-        self._metrics_policy = metrics_policy
-        self._metrics_spill_dir = spill_dir
-        #: Fleet-wide columnar metrics store, appended per completion.
-        self.columns = build_columns_store(
-            metrics_cap,
-            policy=metrics_policy,
-            spill_dir=spill_dir,
-            seed=self.config.seed,
-        )
         self.series: dict = {}
         self.waiting_tasks: List[Task] = []
         self.nodes_added = 0
@@ -271,7 +265,6 @@ class ClusterSimulator(EventLoop):
             commissioned_at=self.now,
         )
         self._next_node_id += 1
-        self._apply_metrics_policy(node)
         # Wire delay a dispatched task pays to reach this node, resolved once
         # from the network model (per-spec RTT override, probe cost of the
         # installed dispatcher).  Zero keeps dispatch on the instantaneous
@@ -293,50 +286,11 @@ class ClusterSimulator(EventLoop):
             self._chaos.arm(node)
         return node
 
-    def _apply_metrics_policy(self, node: ClusterNode) -> None:
-        """Bound one node's collector per the cluster's metrics policy.
-
-        Runs for every commissioned node — initial fleet, autoscaler
-        scale-ups, chaos replacements — so long streaming runs cannot leak
-        memory through late-created nodes.  Reservoir seeds are derived from
-        the cluster seed and the node id, keeping fleets deterministic.
-
-        The fleet-wide store keeps the full ``metrics_cap`` rows (it backs
-        the headline CDFs); per-node stores share that same budget across
-        the initial fleet size, so total retained rows stay O(cap) rather
-        than O(cap * nodes).  Per-node counts/means/billing remain exact
-        either way — only the per-node percentile sample shrinks.
-        """
-        collector = node.engine.collector
-        if self._stream is not None:
-            # Streamed runs retain no task objects (fleet accounting runs
-            # off engine._last_finished).
-            collector.keep_tasks = False
-        if self._metrics_cap is not None:
-            fleet_size = max(1, len(self.config.expanded_specs()))
-            node_cap = max(256, self._metrics_cap // fleet_size)
-            collector.columns = build_columns_store(
-                node_cap,
-                policy=self._metrics_policy,
-                spill_dir=self._metrics_spill_dir,
-                seed=self.config.seed * 1_000_003 + node.node_id + 1,
-            )
-
     # ---------------------------------------------------------------- series
 
     def record_series(self, name: str, value: float) -> None:
-        """Record one point of a named fleet-level time series.
-
-        With telemetry enabled the point flows through the gauge registry
-        (so it is counted in the snapshot); either way it lands in the same
-        ``self.series`` store under the same name.
-        """
-        if self.telemetry is not None:
-            self.telemetry.gauges.record(self.series, name, self.now, value)
-        else:
-            self.series.setdefault(name, []).append(
-                SeriesPoint(time=self.now, value=value)
-            )
+        """Record one point of a named fleet-level time series."""
+        record_series(self.series, name, self.now, value, self.telemetry)
 
     # ------------------------------------------------------------------- fleet
 
@@ -583,9 +537,8 @@ class ClusterSimulator(EventLoop):
 
     def _on_completion(self, core) -> None:
         engine = core._engine
-        engine._handle_completion(core)
         node = engine.node
-        for task in engine._last_finished:
+        for task in engine._handle_completion(core):
             self._on_task_finished(node, task)
 
     def _admit(self, task: Task) -> None:
@@ -715,7 +668,6 @@ class ClusterSimulator(EventLoop):
 
     def _on_task_finished(self, node: ClusterNode, task: Task) -> None:
         node.on_task_finished(task)
-        self.columns.append(task)
         self._unfinished -= 1
         if self._middleware is not None:
             self._middleware.on_complete(task, node, self.now)
@@ -888,9 +840,9 @@ class ClusterSimulator(EventLoop):
             ),
             config=self.config,
             tasks=list(self.tasks),
-            node_results={
-                node.node_id: node.build_result(self.now) for node in self.nodes
-            },
+            node_results=per_node_results(
+                self.nodes, self.tasks, self.columns, self.now
+            ),
             node_stats={
                 node.node_id: {
                     "cores": float(len(node.machine)),
@@ -1013,11 +965,15 @@ def simulate_cluster(
     :class:`~repro.workload.streaming.StreamingWorkload`, whose arrivals are
     generated lazily per sim-time window and fed into the event heap
     ``chunk`` tasks at a time, refilled whenever at most ``low_water`` fed
-    arrivals are still queued.  ``metrics_cap`` bounds the per-node and
-    fleet columnar stores (``metrics_policy`` selects reservoir sampling
-    with exact aggregates, or disk spilling under ``spill_dir``), so a
-    streamed run's peak memory stays O(horizon + cap) instead of O(total
-    tasks).  ``telemetry`` accepts a
+    arrivals are still queued.  Each finished task is recorded once, in the
+    run's one columnar store, tagged with its node; per-node results are
+    row selections of it.  ``metrics_cap`` bounds that store
+    (``metrics_policy`` selects reservoir sampling with exact aggregates,
+    or disk spilling under ``spill_dir``), so a streamed run's peak memory
+    stays O(horizon + cap) instead of O(total tasks).  Under a reservoir
+    cap a node's view holds its rows of the fleet sample, so its
+    percentiles and means are estimates; exact per-node counts stay in
+    ``node_stats``.  ``telemetry`` accepts a
     :class:`~repro.telemetry.spec.TelemetrySpec` (or a live runtime) to
     record spans/gauges for the run.  ``middleware`` accepts a
     :class:`~repro.middleware.base.MiddlewareChain` or an iterable of

@@ -4,10 +4,14 @@
 (execution / response / turnaround) every time a result was summarised; on
 fleet-scale runs that is hundreds of thousands of attribute lookups and list
 appends per aggregation.  :class:`TaskColumns` keeps the same per-task facts
-in one numpy structured array that the
-:class:`~repro.simulation.metrics.MetricsCollector` fills *incrementally* as
-tasks finish, so result aggregation is O(1) allocations: summaries,
-percentiles, CDFs and CSV export all read (views of) the same columns.
+in one numpy structured array that a run's
+:class:`~repro.simulation.engine.EventLoop` fills *incrementally* as tasks
+finish, so result aggregation is O(1) allocations: summaries, percentiles,
+CDFs and CSV export all read (views of) the same columns.
+
+One store serves a whole run.  Each row carries the id of the cluster node
+the task finished on (:data:`NO_NODE` on a standalone machine), so per-node
+views are row selections of the one store rather than second copies.
 
 The store records tasks in completion order.  Percentile/mean statistics are
 order-independent (within float rounding), and consumers that need a stable
@@ -22,6 +26,8 @@ import numpy as np
 
 #: Sentinel for "task never ran on a core" in the ``last_core`` column.
 NO_CORE = -1
+#: Sentinel for "finished on a standalone machine" in the ``node_id`` column.
+NO_NODE = -1
 
 #: One row per finished task.  Times are seconds on the simulation clock.
 TASK_COLUMNS_DTYPE = np.dtype(
@@ -36,6 +42,7 @@ TASK_COLUMNS_DTYPE = np.dtype(
         ("preemptions", np.int64),
         ("migrations", np.int64),
         ("last_core", np.int64),
+        ("node_id", np.int64),
     ]
 )
 
@@ -77,8 +84,8 @@ class TaskColumns:
         data[: self._size] = self._data[: self._size]
         self._data = data
 
-    def append(self, task) -> None:
-        """Record one finished task (called by the collector per completion)."""
+    def append(self, task, node_id: int = NO_NODE) -> None:
+        """Record one finished task, tagged with the node it finished on."""
         if not task.is_finished:
             raise ValueError(f"task {task.task_id} is not finished")
         last_core = task.last_core
@@ -94,6 +101,7 @@ class TaskColumns:
                 task.preemptions,
                 task.migrations,
                 NO_CORE if last_core is None else last_core,
+                node_id,
             )
         )
 
@@ -117,6 +125,17 @@ class TaskColumns:
         """Build a store from a task list, keeping finished tasks only."""
         columns = cls()
         columns.extend(t for t in tasks if t.is_finished)
+        return columns
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "TaskColumns":
+        """A store over ``rows``, which it takes over without copying.
+
+        Pass an array nothing else writes to, such as a boolean selection.
+        """
+        columns = cls()
+        columns._data = np.asarray(rows, dtype=TASK_COLUMNS_DTYPE)
+        columns._size = len(rows)
         return columns
 
     # ----------------------------------------------------------------- access
@@ -230,7 +249,7 @@ class ReservoirTaskColumns(TaskColumns):
         self._sum_turn_gb = 0.0
         self._makespan = 0.0
 
-    def append(self, task) -> None:
+    def append(self, task, node_id: int = NO_NODE) -> None:
         if not task.is_finished:
             raise ValueError(f"task {task.task_id} is not finished")
         arrival = task.arrival_time
@@ -273,6 +292,7 @@ class ReservoirTaskColumns(TaskColumns):
             task.preemptions,
             task.migrations,
             NO_CORE if last_core is None else last_core,
+            node_id,
         )
         if index < cap:
             self._pending.append(row)
@@ -364,16 +384,16 @@ class SpillTaskColumns(TaskColumns):
         if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
         # A private subdirectory even inside a caller-supplied dir: several
-        # stores (fleet + per node) may share one spill_dir.
+        # runs' stores may share one spill_dir.
         self._dir = tempfile.mkdtemp(prefix="task-columns-", dir=spill_dir)
         self._owns_dir = True
         self._chunks: List[str] = []
         self._spilled = 0
         self._cache: Optional[np.ndarray] = None
 
-    def append(self, task) -> None:
+    def append(self, task, node_id: int = NO_NODE) -> None:
         self._cache = None
-        super().append(task)
+        super().append(task, node_id)
         if self._size + len(self._pending) >= self.cap:
             self._spill()
 
@@ -445,20 +465,3 @@ def build_columns_store(
         f"unknown metrics policy {policy!r}; expected 'reservoir' or 'spill'"
     )
 
-
-def merge_columns(parts: Sequence[TaskColumns]) -> TaskColumns:
-    """Concatenate several stores (per-node results into a fleet view).
-
-    Capped stores contribute the rows they actually retain (a reservoir's
-    sample, a spill store's full rehydrated history), so ``part.data`` is
-    read rather than trusting ``len(part)`` — the two differ past a cap.
-    """
-    datas = [part.data for part in parts]
-    merged = TaskColumns(capacity=sum(len(rows) for rows in datas))
-    for rows in datas:
-        size = len(rows)
-        if size:
-            merged._grow_to(merged._size + size)
-            merged._data[merged._size : merged._size + size] = rows
-            merged._size += size
-    return merged

@@ -27,7 +27,7 @@ import time as _wallclock
 from typing import Iterable, List, Optional, Sequence
 
 from repro.simulation.clock import VirtualClock
-from repro.simulation.columns import build_columns_store
+from repro.simulation.columns import NO_NODE, TaskColumns, build_columns_store
 from repro.simulation.config import SimulationConfig
 from repro.simulation.cpu import Core
 from repro.simulation.events import (
@@ -37,7 +37,7 @@ from repro.simulation.events import (
     EventQueue,
 )
 from repro.simulation.machine import Machine
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import MetricsCollector, record_series
 from repro.simulation.results import SimulationResult, build_result
 from repro.simulation.task import Task
 from repro.telemetry.gauges import SAMPLER_TAG
@@ -55,7 +55,8 @@ class SimulationError(RuntimeError):
 
 
 class EventLoop:
-    """Clock, event queue, arrival feed and batched drain loop.
+    """Clock, event queue, arrival feed, batched drain loop and the run's
+    one finished-task store.
 
     Subclasses route events and name the machines the loop drives:
 
@@ -71,9 +72,13 @@ class EventLoop:
 
     _loop_config: SimulationConfig
 
-    def __init__(self) -> None:
+    def __init__(self, columns: Optional[TaskColumns] = None) -> None:
         self.clock = VirtualClock()
         self.events = EventQueue()
+        #: The run's one columnar store: every engine on the loop appends
+        #: each finished task here once, tagged with its node id.  May be a
+        #: capped store (reservoir/spill) on memory-bounded runs.
+        self.columns = columns if columns is not None else TaskColumns()
         #: Materialised workload (``submit``); streamed runs retain none.
         self.tasks: List[Task] = []
         #: Arrivals taken in and neither finished nor rejected yet.
@@ -121,8 +126,7 @@ class EventLoop:
         O(horizon).  Fed arrivals draw from the same sequence source as
         :meth:`submit`, so the run is bit-identical to
         ``submit(source.materialise())``.  Streaming runs retain no task
-        objects — neither the task list nor the engines' finished tasks;
-        results report counts and columnar metrics instead.
+        objects; results report counts and columnar metrics instead.
         """
         from repro.workload.streaming import StreamFeed
 
@@ -137,8 +141,6 @@ class EventLoop:
         self._stream = StreamFeed(source, chunk)
         self._stream_low_water = low_water
         self._stream_total = source.total_hint()
-        for engine in self._engines():
-            engine.collector.keep_tasks = False
         self._refill_stream()
 
     def _submit_workload(self, workload, chunk: int, low_water: Optional[int]) -> None:
@@ -324,13 +326,12 @@ class MachineEngine:
         scheduler,
         loop: EventLoop,
         config: Optional[SimulationConfig] = None,
-        collector: Optional[MetricsCollector] = None,
         telemetry=None,
     ) -> None:
         self.machine = machine
         self.scheduler = scheduler
         self.config = config or machine.config
-        self.collector = collector or MetricsCollector()
+        self.collector = MetricsCollector()
         self.loop = loop
         self.clock = loop.clock
         self.events = loop.events
@@ -345,10 +346,9 @@ class MachineEngine:
         self._unfinished = 0
         #: The cluster node this engine serves (None on a standalone machine).
         self.node = None
-        # Tasks finished by the most recent completion event; the cluster
-        # reads this for fleet accounting (the collector may be configured
-        # not to retain task objects on streaming runs).
-        self._last_finished: Sequence[Task] = ()
+        #: Id written to the ``node_id`` column of each task finished here;
+        #: the cluster layer sets it to the node's id.
+        self.node_id = NO_NODE
         # Completion events carry only the core; record the owning engine on
         # each core so shared-queue (cluster) loops can route the event to
         # the right per-node engine.
@@ -387,16 +387,8 @@ class MachineEngine:
         return self.schedule_at(self.now + delay, callback, tag=tag)
 
     def record_series(self, name: str, value: float) -> None:
-        """Record one point of a named time series at the current time.
-
-        With telemetry enabled the point flows through the gauge registry
-        (so it is counted in the snapshot); either way it lands in the same
-        ``collector.series`` store under the same name.
-        """
-        if self.telemetry is not None:
-            self.telemetry.gauges.record(self.collector.series, name, self.now, value)
-        else:
-            self.collector.record_series(name, self.now, value)
+        """Record one point of a named time series at the current time."""
+        record_series(self.collector.series, name, self.now, value, self.telemetry)
 
     # ----------------------------------------------------- task/core plumbing
 
@@ -443,18 +435,21 @@ class MachineEngine:
 
     # ----------------------------------------------------------- event logic
 
-    def _handle_completion(self, core: Core) -> None:
+    def _handle_completion(self, core: Core) -> List[Task]:
+        """Finish ``core``'s ready tasks, record each once; returns them."""
         core._completion_handle = None
         finished = core.finish_ready_tasks(self.now)
-        self._last_finished = finished
         self._reschedule_completion(core)
         tracer = self._tracer
+        columns = self.loop.columns
+        node_id = self.node_id
         for task in finished:
             self._unfinished -= 1
             if tracer is not None:
                 tracer.end(("r", task.task_id), self.now)
-            self.collector.on_task_finished(task)
+            columns.append(task, node_id)
             self.scheduler.on_task_finished(task, core)
+        return finished
 
     def _reschedule_completion(self, core: Core) -> None:
         if core._completion_handle is not None:
@@ -480,13 +475,12 @@ class Simulator(EventLoop, MachineEngine):
         machine: Machine,
         scheduler,
         config: Optional[SimulationConfig] = None,
-        collector: Optional[MetricsCollector] = None,
+        columns: Optional[TaskColumns] = None,
         telemetry=None,
     ) -> None:
-        EventLoop.__init__(self)
+        EventLoop.__init__(self, columns)
         MachineEngine.__init__(
-            self, machine, scheduler, self,
-            config=config, collector=collector, telemetry=telemetry,
+            self, machine, scheduler, self, config=config, telemetry=telemetry
         )
         self._loop_config = self.config
 
@@ -521,6 +515,7 @@ class Simulator(EventLoop, MachineEngine):
             tasks=self.tasks,
             cores=self.machine.cores,
             collector=self.collector,
+            columns=self.columns,
             simulated_time=self.now,
             wall_clock_seconds=_wallclock.perf_counter() - started,
             events_processed=self._events_processed,
@@ -568,8 +563,8 @@ def simulate(
     at a time whenever at most ``low_water`` fed arrivals are still queued;
     a streamed run retains no task objects, so its live memory is
     O(horizon) rather than O(total tasks) and its result's ``tasks`` list
-    is empty (summaries, columns and cost all work from the collector).
-    ``metrics_cap`` bounds the columnar metrics store using
+    is empty (summaries, columns and cost all work from the run's store).
+    ``metrics_cap`` bounds that columnar store using
     ``metrics_policy`` (``"reservoir"`` — exact streaming summaries plus a
     uniform sample for CDFs — or ``"spill"`` — full rows in on-disk npy
     chunks under ``spill_dir``).  ``telemetry`` accepts a
@@ -580,13 +575,11 @@ def simulate(
     target_machine = machine or Machine(
         cfg, groups=scheduler.preferred_groups(cfg.num_cores)
     )
-    collector = MetricsCollector(
-        columns=build_columns_store(
-            metrics_cap, policy=metrics_policy, spill_dir=spill_dir, seed=cfg.seed
-        )
+    columns = build_columns_store(
+        metrics_cap, policy=metrics_policy, spill_dir=spill_dir, seed=cfg.seed
     )
     simulator = Simulator(
-        target_machine, scheduler, config=cfg, collector=collector, telemetry=telemetry
+        target_machine, scheduler, config=cfg, columns=columns, telemetry=telemetry
     )
     simulator._submit_workload(workload, chunk, low_water)
     return simulator.run(until=until)

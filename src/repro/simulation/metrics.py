@@ -1,9 +1,10 @@
 """Metric collection.
 
-The collector gathers everything the paper's figures need:
+Per-task execution / response / turnaround times (Figs. 4-6, 11, 12, 18,
+21) live in the run's columnar store and are summarised by
+:class:`TaskMetricsSummary`.  The per-machine :class:`MetricsCollector`
+gathers the rest of what the paper's figures need:
 
-* per-task execution / response / turnaround times (Figs. 4-6, 11, 12, 18, 21),
-* per-core preemption counts (Fig. 13),
 * per-core and per-group utilization time series (Figs. 14, 16, 17, 19),
 * arbitrary named time series recorded by schedulers, e.g. the adaptive FIFO
   time limit (Figs. 16, 17) and the FIFO group size under rightsizing
@@ -12,7 +13,7 @@ The collector gathers everything the paper's figures need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -146,42 +147,37 @@ class TaskMetricsSummary:
         }
 
 
-class MetricsCollector:
-    """Accumulates measurements during a simulation run."""
+def record_series(sink, name: str, time: float, value: float, telemetry=None) -> None:
+    """Record one point of a named time series into ``sink``.
 
-    def __init__(
-        self,
-        columns: Optional[TaskColumns] = None,
-        keep_tasks: bool = True,
-    ) -> None:
-        #: Finished Task objects in completion order.  Streaming runs pass
-        #: ``keep_tasks=False`` so memory stays bounded; summaries then come
-        #: from the columnar store alone.
-        self.finished_tasks: List[Task] = []
-        self.keep_tasks = keep_tasks
-        #: Columnar metrics store, filled incrementally per completion so
-        #: result aggregation never rebuilds per-metric Python lists.  May
-        #: be a capped store (reservoir/spill) on memory-bounded runs.
-        self.columns = columns if columns is not None else TaskColumns()
+    With a telemetry runtime the point flows through its gauge registry (so
+    it is counted in the snapshot); either way it lands in ``sink`` under
+    the same name.
+    """
+    if telemetry is not None:
+        telemetry.gauges.record(sink, name, time, value)
+    else:
+        sink.setdefault(name, []).append(SeriesPoint(time=time, value=value))
+
+
+class MetricsCollector:
+    """Utilization windows and named time series of one machine's run.
+
+    Finished tasks are not recorded here: they go into the run's one
+    :class:`~repro.simulation.columns.TaskColumns` store.
+    """
+
+    def __init__(self) -> None:
         self.utilization_samples: List[UtilizationSample] = []
         self.series: Dict[str, List[SeriesPoint]] = {}
         self._busy_snapshots: Dict[int, float] = {}
         self._last_sample_time: float = 0.0
 
-    # ----------------------------------------------------------------- tasks
-
-    def on_task_finished(self, task: Task) -> None:
-        # The store raises ValueError for an unfinished task, before the
-        # task is kept.
-        self.columns.append(task)
-        if self.keep_tasks:
-            self.finished_tasks.append(task)
-
     # ------------------------------------------------------------ time series
 
     def record_series(self, name: str, time: float, value: float) -> None:
         """Record one point of a named scheduler time series."""
-        self.series.setdefault(name, []).append(SeriesPoint(time=time, value=value))
+        record_series(self.series, name, time, value)
 
     def series_values(self, name: str) -> List[SeriesPoint]:
         return list(self.series.get(name, []))
@@ -222,28 +218,3 @@ class MetricsCollector:
         self.utilization_samples.append(sample)
         self.start_utilization_window(cores, now)
         return sample
-
-    # -------------------------------------------------------------- summaries
-
-    def summary(self) -> TaskMetricsSummary:
-        return TaskMetricsSummary.from_columns(self.columns)
-
-    def execution_times(self) -> np.ndarray:
-        return self.columns.execution()
-
-    def response_times(self) -> np.ndarray:
-        return self.columns.response()
-
-    def turnaround_times(self) -> np.ndarray:
-        return self.columns.turnaround()
-
-    def preemptions_per_core(self, cores: Sequence[Core]) -> Dict[int, float]:
-        """Total (explicit + estimated slice) preemptions per core (Fig. 13)."""
-        return {core.core_id: core.stats.total_preemptions for core in cores}
-
-    def group_utilization_series(self, group: str) -> List[SeriesPoint]:
-        """Utilization-over-time series for one core group (Figs. 14, 16, 17, 19)."""
-        return [
-            SeriesPoint(time=s.time, value=s.group(group))
-            for s in self.utilization_samples
-        ]

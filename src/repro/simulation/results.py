@@ -40,8 +40,8 @@ class SimulationResult:
     simulated_time: float = 0.0
     wall_clock_seconds: float = 0.0
     events_processed: int = 0
-    #: Columnar store of the finished tasks, filled incrementally by the
-    #: collector during the run; built lazily for hand-assembled results.
+    #: Columnar store of the finished tasks, filled incrementally during
+    #: the run; built lazily for hand-assembled results.
     columns: Optional[TaskColumns] = None
     #: Frozen telemetry of the run (``None`` unless telemetry was enabled).
     telemetry: Optional[TelemetrySnapshot] = None
@@ -152,6 +152,7 @@ def build_result(
     tasks: Sequence[Task],
     cores,
     collector: MetricsCollector,
+    columns: TaskColumns,
     simulated_time: float,
     wall_clock_seconds: float,
     events_processed: int,
@@ -170,7 +171,7 @@ def build_result(
         simulated_time=simulated_time,
         wall_clock_seconds=wall_clock_seconds,
         events_processed=events_processed,
-        columns=collector.columns,
+        columns=columns,
         telemetry=telemetry,
         tasks_submitted=len(tasks) if tasks_submitted is None else tasks_submitted,
     )

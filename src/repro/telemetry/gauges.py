@@ -13,8 +13,9 @@ Sampled points land as ordinary :class:`~repro.simulation.metrics.
 SeriesPoint` entries in a *sink* dict — the same ``collector.series`` /
 ``cluster.series`` stores the ad-hoc ``record_series`` API always filled —
 so every existing series consumer (results, experiments, plots) reads gauge
-timelines with no new API.  ``record`` is that ad-hoc path: the engines'
-``record_series`` methods delegate here when telemetry is on, which is how
+timelines with no new API.  ``record`` is that ad-hoc path:
+:func:`repro.simulation.metrics.record_series`, behind every
+``record_series`` method, delegates here when telemetry is on, which is how
 legacy series like ``autoscaler.load`` keep their names while being counted
 as telemetry.
 
@@ -28,10 +29,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simulation.metrics import SeriesPoint
 
-#: Event-queue tag of the sampler's timer events.  The engines' tagged-event
-#: dispatchers route this tag to ``event.payload.on_tick()`` (the payload is
-#: the sampler itself); keep the literal in sync with
-#: ``Simulator._dispatch_tagged`` and ``ClusterSimulator._dispatch_tagged``.
+#: Event-queue tag of the sampler's timer events.  The event loop's tagged
+#: dispatcher, ``EventLoop._dispatch_tagged``, routes this tag to
+#: ``event.payload.on_tick()`` (the payload is the sampler itself).
 SAMPLER_TAG = "telemetry-sample"
 
 #: A sink: series name -> list of SeriesPoint (a collector/cluster store).

@@ -267,6 +267,19 @@ class TestDeterminism:
         ]
         # Exactly once: node results partition the task set, no duplicates.
         assert sorted(per_node_ids) == sorted(t.task_id for t in result.tasks)
+        # The run's one store tags each row with the node the task finished
+        # on, and the per-node views are exactly those rows.
+        rows = result.task_columns().data
+        recorded = dict(zip(rows["task_id"].tolist(), rows["node_id"].tolist()))
+        assert len(recorded) == len(rows) == len(result.tasks)
+        for task in result.tasks:
+            assert recorded[task.task_id] == task.metadata["node_id"]
+        for node_id, node_result in result.node_results.items():
+            view = node_result.task_columns().data
+            assert (view["node_id"] == node_id).all()
+            assert sorted(view["task_id"].tolist()) == sorted(
+                t.task_id for t in node_result.tasks
+            )
 
     @pytest.mark.parametrize("dispatcher", ["random", "power_of_two", "consistent_hash"])
     def test_same_seed_same_fleet_p99(self, dispatcher):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.schedulers.fifo import FIFOScheduler
-from repro.simulation.columns import NO_CORE, TaskColumns, merge_columns
+from repro.simulation.columns import NO_CORE, NO_NODE, TaskColumns
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
@@ -41,6 +41,24 @@ class TestStore:
         assert columns.response()[0] == pytest.approx(1.0)
         assert columns.turnaround()[0] == pytest.approx(4.0)
 
+    def test_append_records_node_id(self):
+        columns = TaskColumns()
+        columns.append(finished_task(task_id=0))
+        columns.append(finished_task(task_id=1), 4)
+        assert list(columns.column("node_id")) == [NO_NODE, 4]
+
+    def test_from_rows_keeps_rows_and_dtype(self):
+        source = TaskColumns()
+        for i in range(5):
+            source.append(finished_task(task_id=i), i % 2)
+        rows = source.data[source.data["node_id"] == 1]
+        view = TaskColumns.from_rows(rows)
+        assert len(view) == 2
+        assert list(view.column("task_id")) == [1, 3]
+        view.append(finished_task(task_id=9), 1)
+        assert list(view.column("task_id")) == [1, 3, 9]
+        assert len(source) == 5
+
     def test_append_rejects_unfinished(self):
         with pytest.raises(ValueError):
             TaskColumns().append(make_task())
@@ -71,13 +89,6 @@ class TestStore:
         assert columns.metric("service")[0] == pytest.approx(1.0)
         with pytest.raises(KeyError):
             columns.metric("nope")
-
-    def test_merge_columns(self):
-        a = TaskColumns.from_tasks([finished_task(task_id=0)])
-        b = TaskColumns.from_tasks([finished_task(task_id=1), finished_task(task_id=2)])
-        merged = merge_columns([a, b])
-        assert len(merged) == 3
-        assert list(merged.column("task_id")) == [0, 1, 2]
 
     def test_growth_beyond_initial_capacity(self):
         columns = TaskColumns()
@@ -117,3 +128,4 @@ class TestSummaryEquivalence:
 
     def test_no_core_sentinel(self):
         assert NO_CORE == -1
+        assert NO_NODE == -1

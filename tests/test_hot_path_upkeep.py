@@ -35,6 +35,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.columns import (
     _SLOT_BLOCK,
     NO_CORE,
+    NO_NODE,
     TASK_COLUMNS_DTYPE,
     ReservoirTaskColumns,
 )
@@ -242,6 +243,7 @@ def _row(task: Task) -> tuple:
         task.task_id, task.arrival_time, task.service_time, task.first_run_time,
         task.completion_time, task.memory_mb, task.weight, task.preemptions,
         task.migrations, NO_CORE if task.last_core is None else task.last_core,
+        NO_NODE,
     )
 
 

@@ -21,7 +21,6 @@ from repro.simulation.columns import (
     SpillTaskColumns,
     TaskColumns,
     build_columns_store,
-    merge_columns,
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
@@ -153,15 +152,6 @@ class TestFactoryAndMerge:
         with pytest.raises(ValueError, match="unknown metrics policy"):
             build_columns_store(10, policy="bogus")
 
-    def test_merge_reads_retained_rows(self, tmp_path):
-        plain = fill(TaskColumns(), 20)
-        capped = fill(ReservoirTaskColumns(cap=8, seed=3), 100)
-        spill = fill(SpillTaskColumns(cap=8, spill_dir=str(tmp_path)), 30)
-        merged = merge_columns([plain, capped, spill])
-        # A reservoir contributes its sample; a spill store its full history.
-        assert len(merged) == 20 + 8 + 30
-        spill.close()
-
 
 class TestCappedStreamingRuns:
     def test_single_machine_summary_exact_past_cap(self):
@@ -206,17 +196,27 @@ class TestCappedStreamingRuns:
         )
         assert spilled.summary() == ref.summary()
 
-    def test_per_node_cap_budget_is_shared(self):
-        # 8 nodes share the cap: each node's store gets cap // 8 (floored at
-        # 256), so total retained rows stay O(cap), not O(cap * nodes).
+    def test_capped_cluster_keeps_one_store(self):
+        # One store per run: the loop's store retains at most ``cap`` rows,
+        # no node engine holds rows of its own, and the per-node views are
+        # row selections of the one store.
         from repro.cluster import ClusterSimulator
 
         config = ClusterConfig(num_nodes=8, cores_per_node=2, dispatcher="jsq")
-        sim = ClusterSimulator(config=config, metrics_cap=4096)
-        assert sim.columns.cap == 4096  # the fleet store keeps the full cap
-        assert [n.engine.collector.columns.cap for n in sim.nodes] == [512] * 8
-        floored = ClusterSimulator(config=config, metrics_cap=100)
-        assert [n.engine.collector.columns.cap for n in floored.nodes] == [256] * 8
+        sim = ClusterSimulator(config=config, metrics_cap=10)
         sim.submit_stream(make_source(), chunk=8)
         result = sim.run()
         assert result.finished_count == TOTAL_TASKS
+        assert result.columns is sim.columns
+        assert len(sim.columns.data) == 10
+        for node in sim.nodes:
+            for holder in (node, node.engine, node.engine.collector):
+                assert not any(
+                    isinstance(value, TaskColumns) for value in vars(holder).values()
+                )
+        views = [r.task_columns().data for r in result.node_results.values()]
+        assert sum(len(rows) for rows in views) == 10
+        assert np.array_equal(
+            np.sort(np.concatenate(views), order="task_id"),
+            np.sort(sim.columns.data, order="task_id"),
+        )

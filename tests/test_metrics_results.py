@@ -41,11 +41,6 @@ class TestSummary:
 
 
 class TestCollector:
-    def test_rejects_unfinished_task(self):
-        collector = MetricsCollector()
-        with pytest.raises(ValueError):
-            collector.on_task_finished(make_task())
-
     def test_series_recording(self):
         collector = MetricsCollector()
         collector.record_series("limit", 1.0, 0.5)

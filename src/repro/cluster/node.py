@@ -13,11 +13,9 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from repro.cluster.config import NodeSpec
-from repro.simulation.columns import TaskColumns
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import EventLoop, MachineEngine
 from repro.simulation.machine import Machine
-from repro.simulation.results import SimulationResult, build_result
 from repro.simulation.task import Task
 from repro.telemetry.tracer import QUEUE_TID
 
@@ -391,33 +389,6 @@ class ClusterNode:
         """Accept one migrated task (a normal delivery plus steal accounting)."""
         self.deliver(task, now, force=force)
         self.tasks_stolen_in += 1
-
-    # ---------------------------------------------------------------- results
-
-    def build_result(
-        self, simulated_time: float, tasks: List[Task], columns: TaskColumns
-    ) -> SimulationResult:
-        """Freeze this node's run into a standard single-machine result.
-
-        ``tasks`` and ``columns`` are the node's finished tasks and its rows
-        of the run's store.  The node counts as having taken in what it
-        finished (its tasks, or its rows on a streamed run), so
-        ``finished_count == total_tasks`` on both feeds.
-        """
-        return build_result(
-            scheduler_name=getattr(
-                self.scheduler, "name", type(self.scheduler).__name__
-            ),
-            config=self.engine.config,
-            tasks=tasks,
-            cores=self.machine.cores,
-            collector=self.engine.collector,
-            columns=columns,
-            simulated_time=simulated_time,
-            wall_clock_seconds=0.0,
-            events_processed=0,
-            tasks_submitted=len(tasks) if tasks else len(columns),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

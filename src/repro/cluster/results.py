@@ -11,7 +11,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cost.cost_model import ClusterCostBreakdown, CostModel
 from repro.simulation.columns import TaskColumns
 from repro.simulation.metrics import SeriesPoint, TaskMetricsSummary
-from repro.simulation.results import SimulationResult
+from repro.simulation.results import SimulationResult, build_result
 from repro.simulation.task import Task
 from repro.telemetry.runtime import TelemetrySnapshot
 
@@ -345,22 +345,32 @@ class ClusterResult:
 def per_node_results(nodes, tasks, columns: TaskColumns, simulated_time: float):
     """Per-node :class:`SimulationResult` views of one cluster run.
 
-    A node's ``columns`` are its rows of the run's store and its ``tasks``
-    the finished tasks it served, found in one pass over ``tasks`` (empty on
-    streamed runs).  Under a reservoir cap the rows are the node's share of
-    the fleet sample, so per-node percentiles and means are estimates.
+    A node's ``tasks`` are the finished tasks it served, found in one pass
+    over ``tasks`` (empty on streamed runs).  Its ``columns`` are its rows
+    of the run's store, selected when first read, so building the results
+    copies no rows and reloads no spilled chunks.  A node took in what it
+    finished, so its ``finished_count == total_tasks`` on both feeds.
     """
     finished_on = {node.node_id: [] for node in nodes}
     for task in tasks:
         if task.is_finished:
             finished_on[task.metadata["node_id"]].append(task)
-    rows = columns.data
-    row_nodes = rows["node_id"]
     return {
-        node.node_id: node.build_result(
-            simulated_time,
-            finished_on[node.node_id],
-            TaskColumns.from_rows(rows[row_nodes == node.node_id]),
+        node.node_id: build_result(
+            scheduler_name=getattr(
+                node.scheduler, "name", type(node.scheduler).__name__
+            ),
+            config=node.engine.config,
+            tasks=finished_on[node.node_id],
+            cores=node.machine.cores,
+            collector=node.engine.collector,
+            columns=None,
+            simulated_time=simulated_time,
+            wall_clock_seconds=0.0,
+            events_processed=0,
+            tasks_submitted=node.tasks_completed,
+            node_id=node.node_id,
+            run_columns=columns,
         )
         for node in nodes
     }

@@ -967,13 +967,13 @@ def simulate_cluster(
     ``chunk`` tasks at a time, refilled whenever at most ``low_water`` fed
     arrivals are still queued.  Each finished task is recorded once, in the
     run's one columnar store, tagged with its node; per-node results are
-    row selections of it.  ``metrics_cap`` bounds that store
-    (``metrics_policy`` selects reservoir sampling with exact aggregates,
-    or disk spilling under ``spill_dir``), so a streamed run's peak memory
-    stays O(horizon + cap) instead of O(total tasks).  Under a reservoir
-    cap a node's view holds its rows of the fleet sample, so its
-    percentiles and means are estimates; exact per-node counts stay in
-    ``node_stats``.  ``telemetry`` accepts a
+    row selections of it, made when first read.  ``metrics_cap`` bounds
+    that store (``metrics_policy`` selects reservoir sampling with exact
+    aggregates, or disk spilling under ``spill_dir``), so a streamed run's
+    peak memory stays O(horizon + cap) instead of O(total tasks).  Under a
+    reservoir cap a node's view holds its rows of the fleet sample, so its
+    percentiles are estimates; its counts, means, totals and billing are
+    exact.  ``telemetry`` accepts a
     :class:`~repro.telemetry.spec.TelemetrySpec` (or a live runtime) to
     record spans/gauges for the run.  ``middleware`` accepts a
     :class:`~repro.middleware.base.MiddlewareChain` or an iterable of

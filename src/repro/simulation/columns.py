@@ -20,7 +20,10 @@ per-task ordering (CSV export) sort by ``task_id``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import itertools
+from collections import defaultdict
+from dataclasses import fields, replace
+from typing import DefaultDict, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,10 +108,6 @@ class TaskColumns:
             )
         )
 
-    def extend(self, tasks: Iterable) -> None:
-        for task in tasks:
-            self.append(task)
-
     def _flush(self) -> None:
         """Convert buffered rows into the structured array (one C-level pass)."""
         pending = self._pending
@@ -124,7 +123,9 @@ class TaskColumns:
     def from_tasks(cls, tasks: Sequence) -> "TaskColumns":
         """Build a store from a task list, keeping finished tasks only."""
         columns = cls()
-        columns.extend(t for t in tasks if t.is_finished)
+        for task in tasks:
+            if task.is_finished:
+                columns.append(task)
         return columns
 
     @classmethod
@@ -193,6 +194,11 @@ class TaskColumns:
         data = self.data
         return data[np.argsort(data["task_id"], kind="stable")]
 
+    def node_view(self, node_id: int) -> "TaskColumns":
+        """A read-only store over the rows of one cluster node (a copy)."""
+        rows = self.data
+        return TaskColumns.from_rows(rows[rows["node_id"] == node_id])
+
     def summary(self):
         """Aggregate statistics over the stored tasks (columnar fast path)."""
         # Deferred import: metrics.py imports this module.
@@ -204,11 +210,43 @@ class TaskColumns:
         return f"TaskColumns(size={self._size}, capacity={len(self._data)})"
 
 
+class _Totals:
+    """Exact running aggregates of the tasks a reservoir has seen."""
+
+    __slots__ = (
+        "count",
+        "execution",
+        "response",
+        "turnaround",
+        "service",
+        "exec_gb",
+        "turn_gb",
+        "makespan",
+    )
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.execution = self.response = self.turnaround = 0.0
+        self.service = self.exec_gb = self.turn_gb = self.makespan = 0.0
+
+    def add(self, execution, response, turnaround, service, memory_gb, completion):
+        self.count += 1
+        self.execution += execution
+        self.response += response
+        self.turnaround += turnaround
+        self.service += service
+        self.exec_gb += execution * memory_gb
+        self.turn_gb += turnaround * memory_gb
+        if completion > self.makespan:
+            self.makespan = completion
+
+
 class ReservoirTaskColumns(TaskColumns):
     """Row-capped store: exact streaming aggregates + a uniform sample.
 
     Counts, means, totals, makespan and billing aggregates are maintained
-    exactly in O(1) state as tasks finish; the row array holds a seeded
+    exactly in O(1) state as tasks finish, for the whole store and for each
+    ``node_id`` (O(nodes) state); the row array holds a seeded
     uniform reservoir sample (Vitter's algorithm R) of at most ``cap`` rows,
     which percentile/CDF consumers read transparently.  ``len()`` reports
     the *true* task count, not the sample size.  With ``cap >= N`` nothing
@@ -221,14 +259,8 @@ class ReservoirTaskColumns(TaskColumns):
         "_rng",
         "_slots",
         "_slots_base",
-        "_seen",
-        "_sum_execution",
-        "_sum_response",
-        "_sum_turnaround",
-        "_sum_service",
-        "_sum_exec_gb",
-        "_sum_turn_gb",
-        "_makespan",
+        "_totals",
+        "_node_totals",
     )
 
     def __init__(self, cap: int, seed: int = 0) -> None:
@@ -240,14 +272,8 @@ class ReservoirTaskColumns(TaskColumns):
         #: Pre-drawn replacement slots for rows ``_slots_base`` onwards.
         self._slots: List[int] = []
         self._slots_base = 0
-        self._seen = 0
-        self._sum_execution = 0.0
-        self._sum_response = 0.0
-        self._sum_turnaround = 0.0
-        self._sum_service = 0.0
-        self._sum_exec_gb = 0.0
-        self._sum_turn_gb = 0.0
-        self._makespan = 0.0
+        self._totals = _Totals()
+        self._node_totals: DefaultDict[int, _Totals] = defaultdict(_Totals)
 
     def append(self, task, node_id: int = NO_NODE) -> None:
         if not task.is_finished:
@@ -258,16 +284,14 @@ class ReservoirTaskColumns(TaskColumns):
         execution = completion - first_run
         turnaround = completion - arrival
         memory_gb = task.memory_mb / 1024.0
-        index = self._seen
-        self._seen = index + 1
-        self._sum_execution += execution
-        self._sum_response += first_run - arrival
-        self._sum_turnaround += turnaround
-        self._sum_service += task.service_time
-        self._sum_exec_gb += execution * memory_gb
-        self._sum_turn_gb += turnaround * memory_gb
-        if completion > self._makespan:
-            self._makespan = completion
+        response = first_run - arrival
+        service = task.service_time
+        totals = self._totals
+        index = totals.count
+        totals.add(execution, response, turnaround, service, memory_gb, completion)
+        self._node_totals[node_id].add(
+            execution, response, turnaround, service, memory_gb, completion
+        )
         cap = self.cap
         if index >= cap:
             offset = index - self._slots_base
@@ -284,7 +308,7 @@ class ReservoirTaskColumns(TaskColumns):
         row = (
             task.task_id,
             arrival,
-            task.service_time,
+            service,
             first_run,
             completion,
             task.memory_mb,
@@ -301,42 +325,48 @@ class ReservoirTaskColumns(TaskColumns):
             self._data[slot] = row
 
     def __len__(self) -> int:
-        return self._seen
+        return self._totals.count
 
     def __bool__(self) -> bool:
-        return self._seen > 0
+        return self._totals.count > 0
 
     def sample_size(self) -> int:
         """Rows actually retained (= ``min(len(self), cap)``)."""
         return self._size + len(self._pending)
 
+    def node_view(self, node_id: int) -> "ReservoirTaskColumns":
+        """One node's share of the sample, with its exact aggregates (read-only)."""
+        view = ReservoirTaskColumns(self.cap)
+        view._data = super().node_view(node_id).data
+        view._size = len(view._data)
+        view._totals = self._node_totals.get(node_id, _Totals())
+        return view
+
     def _exact_summary(self):
-        """Summary from the exact accumulators + sample percentiles."""
+        """Percentiles of the sample; exact count, means, totals and makespan.
+
+        A node view none of whose tasks is in the sample has no percentile
+        estimate, so its percentiles are NaN.
+        """
         from repro.simulation.metrics import TaskMetricsSummary
 
-        count = self._seen
+        summary = TaskMetricsSummary.from_columns(TaskColumns.from_rows(self.data))
+        totals = self._totals
+        count = totals.count
         if count == 0:
-            return TaskMetricsSummary.from_columns(TaskColumns())
-        p50e, p90e, p99e = np.percentile(self.execution(), (50, 90, 99))
-        p50r, p90r, p99r = np.percentile(self.response(), (50, 90, 99))
-        p50t, p90t, p99t = np.percentile(self.turnaround(), (50, 90, 99))
-        return TaskMetricsSummary(
+            return summary
+        if not self.sample_size():
+            percentiles = [f.name for f in fields(summary) if f.name[0] == "p"]
+            summary = replace(summary, **dict.fromkeys(percentiles, np.nan))
+        return replace(
+            summary,
             count=count,
-            mean_execution=self._sum_execution / count,
-            mean_response=self._sum_response / count,
-            mean_turnaround=self._sum_turnaround / count,
-            p50_execution=float(p50e),
-            p50_response=float(p50r),
-            p50_turnaround=float(p50t),
-            p90_execution=float(p90e),
-            p90_response=float(p90r),
-            p90_turnaround=float(p90t),
-            p99_execution=float(p99e),
-            p99_response=float(p99r),
-            p99_turnaround=float(p99t),
-            total_execution=self._sum_execution,
-            total_service=self._sum_service,
-            makespan=self._makespan,
+            mean_execution=totals.execution / count,
+            mean_response=totals.response / count,
+            mean_turnaround=totals.turnaround / count,
+            total_execution=totals.execution,
+            total_service=totals.service,
+            makespan=totals.makespan,
         )
 
     def _exact_billing(self) -> tuple:
@@ -346,17 +376,18 @@ class ReservoirTaskColumns(TaskColumns):
         .workload_cost_columns` — summing the sample rows would under-bill
         by roughly ``cap / count``.
         """
+        totals = self._totals
         return (
-            self._seen,
-            self._sum_execution,
-            self._sum_turnaround,
-            self._sum_exec_gb,
-            self._sum_turn_gb,
+            totals.count,
+            totals.execution,
+            totals.turnaround,
+            totals.exec_gb,
+            totals.turn_gb,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ReservoirTaskColumns(seen={self._seen}, cap={self.cap}, "
+            f"ReservoirTaskColumns(seen={len(self)}, cap={self.cap}, "
             f"sample={self.sample_size()})"
         )
 
@@ -419,6 +450,14 @@ class SpillTaskColumns(TaskColumns):
             parts.append(self._data[: self._size].copy())
             self._cache = np.concatenate(parts)
         return self._cache
+
+    def node_view(self, node_id: int) -> TaskColumns:
+        """One node's rows, selected a chunk at a time (never the whole history)."""
+        self._flush()
+        blocks = itertools.chain(map(np.load, self._chunks), [self._data[: self._size]])
+        return TaskColumns.from_rows(
+            np.concatenate([rows[rows["node_id"] == node_id] for rows in blocks])
+        )
 
     def __len__(self) -> int:
         return self._spilled + self._size + len(self._pending)

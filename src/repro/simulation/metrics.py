@@ -173,15 +173,6 @@ class MetricsCollector:
         self._busy_snapshots: Dict[int, float] = {}
         self._last_sample_time: float = 0.0
 
-    # ------------------------------------------------------------ time series
-
-    def record_series(self, name: str, time: float, value: float) -> None:
-        """Record one point of a named scheduler time series."""
-        record_series(self.series, name, time, value)
-
-    def series_values(self, name: str) -> List[SeriesPoint]:
-        return list(self.series.get(name, []))
-
     # ------------------------------------------------------------ utilization
 
     def start_utilization_window(self, cores: Iterable[Core], now: float) -> None:

@@ -43,6 +43,10 @@ class SimulationResult:
     #: Columnar store of the finished tasks, filled incrementally during
     #: the run; built lazily for hand-assembled results.
     columns: Optional[TaskColumns] = None
+    #: On a cluster node's result: the node's id and the run's one store,
+    #: whose rows for the node become ``columns`` when first read.
+    node_id: Optional[int] = None
+    run_columns: Optional[TaskColumns] = None
     #: Frozen telemetry of the run (``None`` unless telemetry was enabled).
     telemetry: Optional[TelemetrySnapshot] = None
     #: Arrivals the run took in (a run cut off by a time limit counts only
@@ -56,7 +60,10 @@ class SimulationResult:
     def task_columns(self) -> TaskColumns:
         """The columnar finished-task store backing every metric accessor."""
         if self.columns is None:
-            self.columns = TaskColumns.from_tasks(self.tasks)
+            if self.run_columns is not None:
+                self.columns = self.run_columns.node_view(self.node_id)
+            else:
+                self.columns = TaskColumns.from_tasks(self.tasks)
         return self.columns
 
     # ------------------------------------------------------------------ tasks
@@ -152,12 +159,14 @@ def build_result(
     tasks: Sequence[Task],
     cores,
     collector: MetricsCollector,
-    columns: TaskColumns,
+    columns: Optional[TaskColumns],
     simulated_time: float,
     wall_clock_seconds: float,
     events_processed: int,
     telemetry: Optional[TelemetrySnapshot] = None,
     tasks_submitted: Optional[int] = None,
+    node_id: Optional[int] = None,
+    run_columns: Optional[TaskColumns] = None,
 ) -> SimulationResult:
     """Assemble a :class:`SimulationResult` from live simulator state."""
     return SimulationResult(
@@ -172,6 +181,8 @@ def build_result(
         wall_clock_seconds=wall_clock_seconds,
         events_processed=events_processed,
         columns=columns,
+        node_id=node_id,
+        run_columns=run_columns,
         telemetry=telemetry,
         tasks_submitted=len(tasks) if tasks_submitted is None else tasks_submitted,
     )

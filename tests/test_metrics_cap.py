@@ -142,6 +142,49 @@ class TestSpillColumns:
         second.close()
 
 
+def fill_nodes(store, count, nodes=3):
+    for i in range(count):
+        task = finished_task(i, arrival=0.1 * i, service=1.0 + 0.01 * i)
+        store.append(task, i % nodes)
+    return store
+
+
+class TestNodeViews:
+    def test_reservoir_node_view_keeps_exact_node_aggregates(self):
+        plain = fill_nodes(TaskColumns(), 1000)
+        capped = fill_nodes(ReservoirTaskColumns(cap=64, seed=5), 1000)
+        model = CostModel()
+        sampled_rows = 0
+        for node_id in range(3):
+            exact_view = plain.node_view(node_id)
+            view = capped.node_view(node_id)
+            assert (view.data["node_id"] == node_id).all()
+            sampled_rows += view.sample_size()
+            assert len(view) == len(exact_view)
+            exact = exact_view.summary()
+            sampled = view.summary()
+            assert sampled.count == exact.count
+            assert sampled.mean_turnaround == pytest.approx(exact.mean_turnaround)
+            assert sampled.total_service == pytest.approx(exact.total_service)
+            assert sampled.makespan == exact.makespan
+            assert model.workload_cost_columns(view).total == pytest.approx(
+                model.workload_cost_columns(exact_view).total
+            )
+        assert sampled_rows == 64
+        # The fleet aggregates are untouched by the per-node bookkeeping.
+        assert capped.summary().count == 1000
+
+    def test_spill_node_view_reads_chunks_without_caching(self, tmp_path):
+        plain = fill_nodes(TaskColumns(), 50)
+        spill = fill_nodes(SpillTaskColumns(cap=8, spill_dir=str(tmp_path)), 50)
+        for node_id in range(3):
+            assert np.array_equal(
+                spill.node_view(node_id).data, plain.node_view(node_id).data
+            )
+        assert spill._cache is None
+        spill.close()
+
+
 class TestFactoryAndMerge:
     def test_factory_dispatch(self, tmp_path):
         assert type(build_columns_store(None)) is TaskColumns

@@ -6,7 +6,11 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.config import SimulationConfig
 from repro.simulation.cpu import Core
 from repro.simulation.engine import simulate
-from repro.simulation.metrics import MetricsCollector, TaskMetricsSummary
+from repro.simulation.metrics import (
+    MetricsCollector,
+    TaskMetricsSummary,
+    record_series,
+)
 from tests.conftest import make_task, make_tasks
 
 
@@ -43,11 +47,11 @@ class TestSummary:
 class TestCollector:
     def test_series_recording(self):
         collector = MetricsCollector()
-        collector.record_series("limit", 1.0, 0.5)
-        collector.record_series("limit", 2.0, 0.7)
-        points = collector.series_values("limit")
+        record_series(collector.series, "limit", 1.0, 0.5)
+        record_series(collector.series, "limit", 2.0, 0.7)
+        points = collector.series["limit"]
         assert [(p.time, p.value) for p in points] == [(1.0, 0.5), (2.0, 0.7)]
-        assert collector.series_values("missing") == []
+        assert list(collector.series) == ["limit"]
 
     def test_utilization_sampling(self):
         collector = MetricsCollector()

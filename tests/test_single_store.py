@@ -17,6 +17,7 @@ from repro.cluster import (
     ReactiveAutoscaler,
     simulate_cluster,
 )
+from repro.cost.cost_model import CostModel
 from repro.scenario.workloads import two_minute_stream
 from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.columns import NO_NODE
@@ -86,7 +87,7 @@ class TestPerNodeViews:
         for node_id, node_result in result.node_results.items():
             assert node_result.tasks == []
             assert node_result.finished_count == node_result.total_tasks
-            assert node_result.total_tasks == counts[node_id] > 0
+            assert node_result.total_tasks == counts[node_id]
             assert node_result.completion_ratio == 1.0
 
     def test_spill_views_are_exact(self, tmp_path):
@@ -108,13 +109,67 @@ class TestPerNodeViews:
             )
             assert node_result.summary() == expected.summary()
 
+    def test_spill_run_leaves_history_on_disk(self, tmp_path):
+        config = ClusterConfig(num_nodes=3, cores_per_node=2, dispatcher="jsq")
+        result = simulate_cluster(
+            make_source(),
+            config=config,
+            metrics_cap=4,
+            metrics_policy="spill",
+            spill_dir=str(tmp_path),
+        )
+        store = result.columns
+        assert store._chunks and store._cache is None
+        # Node views are selected when first read, a chunk at a time.
+        assert all(r.columns is None for r in result.node_results.values())
+        assert sum(r.finished_count for r in result.node_results.values()) == len(
+            store
+        )
+        assert store._cache is None
+
     def test_reservoir_views_are_the_nodes_share_of_the_sample(self):
         config = ClusterConfig(num_nodes=3, cores_per_node=2, dispatcher="jsq")
         capped = simulate_cluster(make_source(), config=config, metrics_cap=10)
         assert_views_partition_store(capped)
-        # Exact per-node counts live in node_stats, not in the sample.
         ref = simulate_cluster(make_source(), config=config)
         assert capped.tasks_per_node() == ref.tasks_per_node()
+
+    @pytest.mark.parametrize("cap", [1, 10])
+    def test_reservoir_views_keep_exact_node_aggregates(self, cap):
+        config = ClusterConfig(num_nodes=3, cores_per_node=2, dispatcher="jsq")
+        capped = simulate_cluster(make_source(), config=config, metrics_cap=cap)
+        ref = simulate_cluster(make_source(), config=config)
+        counts = ref.tasks_per_node()
+        model = CostModel()
+        unsampled = []
+        for node_id, node_result in capped.node_results.items():
+            expected = ref.node_results[node_id]
+            assert node_result.finished_count == node_result.total_tasks
+            assert node_result.total_tasks == counts[node_id]
+            got, want = node_result.summary(), expected.summary()
+            assert got.count == want.count
+            for name in (
+                "mean_execution",
+                "mean_response",
+                "mean_turnaround",
+                "total_execution",
+                "total_service",
+                "makespan",
+            ):
+                assert getattr(got, name) == pytest.approx(getattr(want, name))
+            got_bill = model.workload_cost_columns(node_result.task_columns())
+            want_bill = model.workload_cost_columns(expected.task_columns())
+            assert got_bill.invocations == want_bill.invocations
+            assert got_bill.total == pytest.approx(want_bill.total)
+            if got.count and len(node_result.task_columns().data) == 0:
+                # None of this node's tasks is in the sample: no estimate.
+                assert np.isnan(got.p99_turnaround)
+                unsampled.append(node_id)
+        sampled = sum(
+            len(r.task_columns().data) for r in capped.node_results.values()
+        )
+        assert sampled == cap
+        assert unsampled if cap == 1 else not unsampled
 
 
 def lost_and_rescued_run():

@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 from repro.chaos.spec import ChaosSpec
 from repro.cluster.node import ClusterNode, NodeState
 from repro.simulation.events import EventPriority
-from repro.telemetry.tracer import CHAOS_TID, CLUSTER_PID, QUEUE_TID, node_pid
 
 
 class ChaosInjector:
@@ -110,18 +109,8 @@ class ChaosInjector:
         cluster = self.cluster
         now = cluster.now
         deadline = now + self.spec.warning
-        if cluster.telemetry is not None:
-            tracer = cluster._tracer
-            if tracer is not None:
-                tracer.instant(
-                    "revocation-warning", node_pid(node.node_id), QUEUE_TID,
-                    now, value=float(node.node_id),
-                )
-                tracer.begin(
-                    ("v", node.node_id), "revocation-warning",
-                    CLUSTER_PID, CHAOS_TID, now,
-                )
-            cluster.telemetry.counters.inc("chaos.revocation_warnings")
+        for hook in cluster.hooks.node_changed:
+            hook(node, "warn", now)
         # The warning forces a drain: dispatch stops immediately and an
         # attached migration policy gets one rescue pass right now, racing
         # the deadline.  A node already draining (or still booting) just
@@ -144,8 +133,8 @@ class ChaosInjector:
             # or crashed first; either way there is nothing left to kill.
             if node.state is NodeState.RETIRED:
                 self.escapes += 1
-                if self.cluster.telemetry is not None:
-                    self.cluster.telemetry.counters.inc("chaos.escapes")
+                for hook in self.cluster.hooks.node_changed:
+                    hook(node, "escape", self.cluster.now)
             return
         self.cluster._fail_node(node, "revocation")
 

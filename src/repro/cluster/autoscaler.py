@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.dispatchers import bound_work
-from repro.telemetry.tracer import AUTOSCALER_TID, CLUSTER_PID
 
 
 def fleet_load_signal(cluster) -> float:
@@ -165,12 +164,6 @@ class ReactiveAutoscaler:
         self._record_decision("replace", now, self.fleet_load())
 
     def _record_decision(self, action: str, now: float, load: float) -> None:
-        """Mirror one scaling decision into the cluster's telemetry."""
-        telemetry = getattr(self.cluster, "telemetry", None)
-        if telemetry is None:
-            return
-        telemetry.counters.inc(f"autoscaler.{action.replace('-', '_')}s")
-        if telemetry.tracer is not None:
-            telemetry.tracer.instant(
-                action, CLUSTER_PID, AUTOSCALER_TID, now, value=load
-            )
+        """Publish one scaling decision on the cluster's hook bus."""
+        for hook in self.cluster.hooks.autoscaled:
+            hook(action, load, now)

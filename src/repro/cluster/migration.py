@@ -78,10 +78,6 @@ class MigrationPolicy(ABC):
     #: Short machine-readable name, used by the registry and result labels.
     name: str = "base"
 
-    #: Telemetry runtime, assigned by the cluster when telemetry is enabled;
-    #: policies use it to count planned moves (None keeps planning untouched).
-    telemetry = None
-
     #: Extra seconds of service a checkpointed task pays to restore its
     #: state on the destination; policies without checkpointing keep 0.0.
     restore_overhead: float = 0.0
@@ -235,7 +231,6 @@ class WorkStealingPolicy(MigrationPolicy):
         # Phase 1b: with checkpointing, started tasks on draining nodes are
         # rescued too — each ships its partial progress instead of betting
         # on finishing before the node goes away.
-        checkpoints = 0
         if self.checkpoint:
             for victim in nodes:
                 if victim.state is not NodeState.DRAINING:
@@ -248,7 +243,6 @@ class WorkStealingPolicy(MigrationPolicy):
                         )
                     )
                     planned_in[thief.node_id] += 1
-                    checkpoints += 1
                     if appetite[thief.node_id] > 0:
                         appetite[thief.node_id] -= 1
 
@@ -281,15 +275,4 @@ class WorkStealingPolicy(MigrationPolicy):
             appetite[thief.node_id] -= 1
             planned_in[thief.node_id] += 1
             steals += 1
-
-        if self.telemetry is not None and plans:
-            rescues = len(plans) - steals - checkpoints
-            if rescues:
-                self.telemetry.counters.inc("migration.rescues_planned", rescues)
-            if checkpoints:
-                self.telemetry.counters.inc(
-                    "migration.checkpoints_planned", checkpoints
-                )
-            if steals:
-                self.telemetry.counters.inc("migration.steals_planned", steals)
         return plans

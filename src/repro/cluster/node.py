@@ -17,7 +17,6 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import EventLoop, MachineEngine
 from repro.simulation.machine import Machine
 from repro.simulation.task import Task
-from repro.telemetry.tracer import QUEUE_TID
 
 
 class NodeState(Enum):
@@ -94,13 +93,6 @@ class ClusterNode:
         # dispatch load index.
         self.load_listener: Optional[Callable[["ClusterNode"], None]] = None
         machine.on_load_change = self._notify_load
-        # Telemetry hooks, assigned by the cluster when tracing is enabled
-        # (kept None otherwise so guards are one attribute load).
-        self._tracer = None
-        self._trace_pid = 0
-        # Middleware chain, assigned by the cluster only when some middleware
-        # observes landings (same one-attribute-load guard as the tracer).
-        self.middleware = None
 
     # ------------------------------------------------------------------ state
 
@@ -230,14 +222,12 @@ class ClusterNode:
         self.engine._unfinished += 1
         self._notify_load()
         task.mark_queued()
-        if self._tracer is not None:
-            self._tracer.begin(
-                ("q", task.task_id), "queued", self._trace_pid, QUEUE_TID,
-                now, task.task_id,
-            )
+        hooks = self.engine.hooks
+        for hook in hooks.task_queued:
+            hook(self.engine, task, now)
         self.scheduler.on_task_arrival(task)
-        if self.middleware is not None:
-            self.middleware.on_land(task, self, now)
+        for hook in hooks.task_landed:
+            hook(task, self, now)
 
     def on_task_finished(self, task: Task) -> None:
         """Cluster-side accounting when one of this node's tasks completes."""
@@ -272,8 +262,6 @@ class ClusterNode:
         """
         self.ingress -= 1
         self.tasks_ingressed += 1
-        if self._tracer is not None:
-            self._tracer.end(("w", task.task_id), now)
         self.ingress_wait_total += self.dispatch_delay
         task.metadata["ingress_wait"] = (
             task.metadata.get("ingress_wait", 0.0) + self.dispatch_delay

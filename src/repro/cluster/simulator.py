@@ -18,7 +18,7 @@ workload ⇒ bit-identical results.
 from __future__ import annotations
 
 import time as _wallclock
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.chaos.injector import build_injector
 from repro.cluster.autoscaler import ReactiveAutoscaler
@@ -37,18 +37,7 @@ from repro.simulation.events import EventPriority
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import record_series
 from repro.simulation.task import Task
-from repro.telemetry.runtime import as_telemetry
-from repro.telemetry.tracer import (
-    AUTOSCALER_TID,
-    CHAOS_TID,
-    CLUSTER_PID,
-    DISPATCH_TID,
-    MIDDLEWARE_TID,
-    MIGRATION_TID,
-    QUEUE_TID,
-    core_tid,
-    node_pid,
-)
+from repro.telemetry.probe import TelemetryProbe
 
 
 #: Tag of a lost task's re-admission event (payload: the task).  Unlike a
@@ -80,7 +69,8 @@ class ClusterSimulator(EventLoop):
                 policy=metrics_policy,
                 spill_dir=spill_dir,
                 seed=config.seed,
-            )
+            ),
+            telemetry,
         )
         self.config = config
         # Node engines share this config's time limit and sampling settings.
@@ -90,18 +80,13 @@ class ClusterSimulator(EventLoop):
         self.autoscaler = autoscaler
         if self.autoscaler is not None:
             self.autoscaler.attach(self)
-        # One shared telemetry runtime (spec or live) spans the control plane
-        # and every node engine; ``_tracer`` is cached for hot-path guards.
-        self.telemetry = as_telemetry(telemetry)
-        self._tracer = self.telemetry.tracer if self.telemetry is not None else None
-        # Ordered middleware chain riding the dispatch/land/complete seams;
-        # None when no middleware is configured, which keeps every hook
-        # behind the same one-attribute ``is None`` guard as telemetry (the
-        # off path is the exact pre-middleware code path).
+        # Ordered middleware chain: its admission verdict is a direct call,
+        # and it observes landings, completions and rejections as a hook-bus
+        # subscriber.  None when no middleware is configured.
         self._middleware = self._coerce_middleware(middleware)
         # Fault injector built from an explicit spec or the config's; None
-        # (no spec) keeps every failure hook behind the same one-attribute
-        # ``is None`` guard — the chaos-off path is the exact pre-chaos code.
+        # (no spec) arms no failure and draws nothing — the chaos-off path
+        # is the exact pre-chaos code.
         self._chaos = build_injector(
             chaos if chaos is not None else self.config.chaos, self
         )
@@ -128,81 +113,17 @@ class ClusterSimulator(EventLoop):
         self.rejected_tasks: List[Task] = []
         self._migrations_inflight = 0
         self._next_node_id = 0
+        # Observers subscribe to the loop's hook bus before the first node
+        # is commissioned; with neither on, every hook tuple stays empty.
+        # Telemetry subscribes first, so it sees each event before the chain.
         if self.telemetry is not None:
-            self._wire_cluster_telemetry()
+            TelemetryProbe(self.telemetry).attach_cluster(self)
         if self._middleware is not None:
             self._middleware.bind(self)
-            # Nodes only pay the landing hook when some middleware wants it.
-            self._land_chain = (
-                self._middleware if self._middleware.has_land_hooks else None
-            )
-        else:
-            self._land_chain = None
         for spec in self.config.expanded_specs():
             self._create_node(NodeState.ACTIVE, spec)
 
     # ------------------------------------------------------------------ wiring
-
-    def _wire_cluster_telemetry(self) -> None:
-        """Name the control-plane tracks, register fleet-level gauges."""
-        from repro.cluster.autoscaler import fleet_load_signal
-
-        telemetry = self.telemetry
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.name_process(CLUSTER_PID, "cluster")
-            tracer.name_track(CLUSTER_PID, DISPATCH_TID, "dispatch")
-            tracer.name_track(CLUSTER_PID, AUTOSCALER_TID, "autoscaler")
-            tracer.name_track(CLUSTER_PID, MIGRATION_TID, "migration")
-            if self._middleware is not None:
-                tracer.name_track(CLUSTER_PID, MIDDLEWARE_TID, "middleware")
-            if self._chaos is not None:
-                tracer.name_track(CLUSTER_PID, CHAOS_TID, "chaos")
-        telemetry.gauges.register(
-            "cluster.fleet_load", lambda: fleet_load_signal(self), self.series
-        )
-        if self.migration_policy is not None:
-            self.migration_policy.telemetry = telemetry
-
-    def _instrument_node(self, node: ClusterNode) -> None:
-        """Point one node (and its engine) at the shared telemetry runtime."""
-        telemetry = self.telemetry
-        tracer = self._tracer
-        pid = node_pid(node.node_id)
-        engine = node.engine
-        engine.telemetry = telemetry
-        engine._tracer = tracer
-        engine._trace_pid = pid
-        node._tracer = tracer
-        node._trace_pid = pid
-        if tracer is not None:
-            tracer.name_process(pid, f"node {node.node_id}")
-            tracer.name_track(pid, QUEUE_TID, "queue")
-            for core in node.machine.cores:
-                tracer.name_track(pid, core_tid(core.core_id), f"core {core.core_id}")
-            lifecycle = (
-                "node-boot" if node.state is NodeState.BOOTING else "node-active"
-            )
-            tracer.instant(
-                lifecycle, pid, QUEUE_TID, self.now, value=float(node.node_id)
-            )
-        nid = node.node_id
-        telemetry.gauges.register(
-            f"cluster.node{nid}.queue_depth",
-            lambda n=node: float(n.stealable_count()),
-            self.series,
-        )
-        telemetry.gauges.register(
-            f"cluster.node{nid}.busy_cores",
-            lambda n=node: float(n.busy_core_count()),
-            self.series,
-        )
-        if node.dispatch_delay > 0.0:
-            telemetry.gauges.register(
-                f"cluster.node{nid}.ingress",
-                lambda n=node: float(n.ingress),
-                self.series,
-            )
 
     def _build_dispatcher(self) -> Dispatcher:
         kwargs = dict(self.config.dispatcher_kwargs)
@@ -274,9 +195,8 @@ class ClusterSimulator(EventLoop):
             getattr(self.dispatcher, "probes_load", False),
         )
         node.load_listener = self._load_index.touch
-        node.middleware = self._land_chain
-        if self.telemetry is not None:
-            self._instrument_node(node)
+        for hook in self.hooks.node_changed:
+            hook(node, "commission", self.now)
         self.nodes.append(node)
         if state is NodeState.ACTIVE:
             self._track_active(node)
@@ -343,11 +263,9 @@ class ClusterSimulator(EventLoop):
             return
         was_booting = node.state is NodeState.BOOTING
         node.activate(self.now)
-        if self._tracer is not None and was_booting:
-            self._tracer.instant(
-                "node-active", node_pid(node.node_id), QUEUE_TID, self.now,
-                value=float(node.node_id),
-            )
+        if was_booting:
+            for hook in self.hooks.node_changed:
+                hook(node, "active", self.now)
         self._track_active(node)
         self._record_fleet_size()
         if self.waiting_tasks:
@@ -363,11 +281,8 @@ class ClusterSimulator(EventLoop):
         the fleet instead of trickling out behind its running work.
         """
         node.start_draining()
-        if self._tracer is not None:
-            self._tracer.instant(
-                "node-drain", node_pid(node.node_id), QUEUE_TID, self.now,
-                value=float(node.node_id),
-            )
+        for hook in self.hooks.node_changed:
+            hook(node, "drain", self.now)
         self._untrack_active(node)
         if self.migration_policy is not None and self._running:
             self._run_migration_pass()
@@ -379,26 +294,9 @@ class ClusterSimulator(EventLoop):
         node.retire(self.now)
         self._untrack_active(node)
         self.nodes_removed += 1
-        if self.telemetry is not None:
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "node-retire", node_pid(node.node_id), QUEUE_TID, self.now,
-                    value=float(node.node_id),
-                )
-                if self._chaos is not None:
-                    # A revoked node retiring here drained dry before its
-                    # deadline: close the open warning span (no-op if the
-                    # retirement was an ordinary scale-down).
-                    self._tracer.end(("v", node.node_id), self.now)
-            self._unregister_node_gauges(node)
+        for hook in self.hooks.node_changed:
+            hook(node, "retire", self.now)
         self._record_fleet_size()
-
-    def _unregister_node_gauges(self, node: ClusterNode) -> None:
-        """A terminal node's signals are frozen; stop sampling them."""
-        nid = node.node_id
-        self.telemetry.gauges.unregister(f"cluster.node{nid}.queue_depth")
-        self.telemetry.gauges.unregister(f"cluster.node{nid}.busy_cores")
-        self.telemetry.gauges.unregister(f"cluster.node{nid}.ingress")
 
     # ----------------------------------------------------------------- chaos
 
@@ -416,19 +314,8 @@ class ClusterSimulator(EventLoop):
             self._untrack_active(node)
         lost = node.fail(self.now)
         self.nodes_failed += 1
-        if self.telemetry is not None:
-            if self._tracer is not None:
-                self._tracer.end(("v", node.node_id), self.now)
-                self._tracer.instant(
-                    f"node-{reason}", node_pid(node.node_id), QUEUE_TID,
-                    self.now, value=float(node.node_id),
-                )
-                self._tracer.instant(
-                    f"node-{reason}", CLUSTER_PID, CHAOS_TID, self.now,
-                    value=float(node.node_id),
-                )
-            self.telemetry.counters.inc(f"chaos.node_failures.{reason}")
-            self._unregister_node_gauges(node)
+        for hook in self.hooks.node_changed:
+            hook(node, reason, self.now)
         for task in lost:
             self._lose_task(task, node)
         if self.autoscaler is not None:
@@ -452,14 +339,8 @@ class ClusterSimulator(EventLoop):
         )
         self.tasks_lost += 1
         node.tasks_lost += 1
-        if self.telemetry is not None:
-            if self._tracer is not None:
-                self._tracer.end(("q", task.task_id), self.now)
-                self._tracer.instant(
-                    "task-lost", CLUSTER_PID, CHAOS_TID, self.now,
-                    task.task_id, float(node.node_id),
-                )
-            self.telemetry.counters.inc("chaos.tasks_lost")
+        for hook in self.hooks.task_lost:
+            hook(task, node, self.now)
         self._pending_arrivals += 1
         self.events.push(
             self.now + self._chaos.spec.redispatch_delay,
@@ -507,8 +388,6 @@ class ClusterSimulator(EventLoop):
                 # The node died while this task was on the wire toward it:
                 # the landing is lost and the task re-enters dispatch.
                 node.ingress -= 1
-                if self._tracer is not None:
-                    self._tracer.end(("w", task.task_id), self.now)
                 self._lose_task(task, node)
                 return
             node.complete_ingress(task, self.now)
@@ -518,7 +397,10 @@ class ClusterSimulator(EventLoop):
         elif tag == ADMIT_TAG:
             # A deferred or retried task re-enters through the full admission
             # path so every middleware sees it again.
-            self._admit(event.payload)
+            task = event.payload
+            for hook in self.hooks.task_resumed:
+                hook(task, self.now)
+            self._admit(task)
         elif tag == TIMEOUT_TAG:
             mw, task = event.payload
             mw.on_timeout(task)
@@ -526,10 +408,8 @@ class ClusterSimulator(EventLoop):
             super()._dispatch_other(event)
 
     def _on_arrival(self, task: Task) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(
-                "arrival", CLUSTER_PID, DISPATCH_TID, self.now, task.task_id
-            )
+        for hook in self.hooks.task_arrived:
+            hook(task, self.now)
         if self._middleware is not None:
             self._admit(task)
             return
@@ -550,9 +430,6 @@ class ClusterSimulator(EventLoop):
         full admission pass at ``resume_at``.
         """
         now = self.now
-        if self._tracer is not None:
-            # Closes a retry-backoff span if one is open (no-op otherwise).
-            self._tracer.end(("b", task.task_id), now)
         verdict = self._middleware.on_dispatch(task, now)
         if verdict is None:
             self._dispatch(task)
@@ -563,13 +440,8 @@ class ClusterSimulator(EventLoop):
             if resume <= now:
                 # Guard against same-instant re-delivery looping forever.
                 resume = now + 1e-9
-            if self.telemetry is not None:
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "mw-defer", CLUSTER_PID, MIDDLEWARE_TID, now,
-                        task.task_id, resume,
-                    )
-                self.telemetry.counters.inc("middleware.deferred")
+            for hook in self.hooks.task_deferred:
+                hook(task, resume, now)
             self.events.push(
                 resume,
                 None,
@@ -586,14 +458,8 @@ class ClusterSimulator(EventLoop):
         self.tasks_rejected += 1
         self.rejected_tasks.append(task)
         self._unfinished -= 1
-        if self.telemetry is not None:
-            if self._tracer is not None:
-                self._tracer.instant(
-                    f"reject:{reason}", CLUSTER_PID, MIDDLEWARE_TID,
-                    self.now, task.task_id,
-                )
-            self.telemetry.counters.inc(f"middleware.rejected.{reason}")
-        self._middleware.notify_reject(task, reason, self.now)
+        for hook in self.hooks.task_rejected:
+            hook(task, reason, self.now)
 
     def release_queued(self, task: Task) -> bool:
         """Pull a still-queued ``task`` back off its node (retry path).
@@ -603,7 +469,9 @@ class ClusterSimulator(EventLoop):
         the caller must leave it alone.  A released task re-enters through
         :meth:`_admit` (the ordinary event path), so a retried task can never
         be double-landed: either the release wins and the queue copy is gone,
-        or the release fails and no retry copy is created.
+        or the release fails and no retry copy is created.  A successful
+        release fires ``task_released``: the task now backs off until it
+        re-enters admission (``task_resumed``).
         """
         node_id = task.metadata.get("node_id")
         if node_id is None or not (0 <= node_id < len(self.nodes)):
@@ -611,8 +479,8 @@ class ClusterSimulator(EventLoop):
         node = self.nodes[node_id]
         if not node.release(task):
             return False
-        if self._tracer is not None:
-            self._tracer.end(("q", task.task_id), self.now)
+        for hook in self.hooks.task_released:
+            hook(task, node, self.now)
         if node.state is NodeState.DRAINING and bound_work(node) == 0:
             self._retire_node(node)
         return True
@@ -639,12 +507,8 @@ class ClusterSimulator(EventLoop):
             return
         node = self.dispatcher.select_node(task, active)
         delay = node.dispatch_delay
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.instant(
-                "dispatch", CLUSTER_PID, DISPATCH_TID, self.now,
-                task.task_id, float(node.node_id),
-            )
+        for hook in self.hooks.task_dispatched:
+            hook(task, node, self.now)
         if delay <= 0.0:
             # Zero-RTT network: the exact instantaneous pre-network path.
             node.deliver(task, self.now)
@@ -652,11 +516,6 @@ class ClusterSimulator(EventLoop):
         # Non-zero RTT: the task goes on the wire into the node's ingress
         # queue (counted by load signals immediately) and lands on the node's
         # scheduler after the wire delay, as its own arrival-priority event.
-        if tracer is not None:
-            tracer.begin(
-                ("w", task.task_id), "wire", node_pid(node.node_id), QUEUE_TID,
-                self.now, task.task_id,
-            )
         node.begin_ingress(task)
         self.events.push(
             self.now + delay,
@@ -669,8 +528,8 @@ class ClusterSimulator(EventLoop):
     def _on_task_finished(self, node: ClusterNode, task: Task) -> None:
         node.on_task_finished(task)
         self._unfinished -= 1
-        if self._middleware is not None:
-            self._middleware.on_complete(task, node, self.now)
+        for hook in self.hooks.task_completed:
+            hook(task, node, self.now)
         if node.state is NodeState.DRAINING and bound_work(node) == 0:
             self._retire_node(node)
 
@@ -679,6 +538,8 @@ class ClusterSimulator(EventLoop):
     def _run_migration_pass(self) -> None:
         """One tick of the migration policy: plan, validate, execute."""
         plans = self.migration_policy.plan(self.nodes, self.now)
+        for hook in self.hooks.migration_planned:
+            hook(plans, self.now)
         for plan in plans:
             self._execute_migration(plan)
         self.record_series(
@@ -710,20 +571,10 @@ class ClusterSimulator(EventLoop):
             task.remaining = task.remaining + self.migration_policy.restore_overhead
             task.metadata["checkpoints"] = task.metadata.get("checkpoints", 0) + 1
             self.tasks_checkpointed += 1
-            if self.telemetry is not None:
-                self.telemetry.counters.inc("migration.checkpoints")
         elif not source.surrender(task):
             return False
-        if self._tracer is not None:
-            # The task leaves its source and travels on the migration lane
-            # until it lands (closing the open queue-wait span first).
-            tid = task.task_id
-            self._tracer.end(("q", tid), self.now)
-            self._tracer.begin(
-                ("m", tid),
-                "checkpoint-migrate" if plan.running else "migrate",
-                CLUSTER_PID, MIGRATION_TID, self.now, tid,
-            )
+        for hook in self.hooks.task_migrating:
+            hook(plan, self.now)
         self._migrations_inflight += 1
         self.events.push(
             self.now + self.migration_policy.transfer_delay(plan.running),
@@ -744,64 +595,56 @@ class ClusterSimulator(EventLoop):
 
         Every genuine landing goes through ``receive_stolen`` so the
         invariant ``sum(stolen_in) == tasks_migrated`` holds on every path.
-        If the target left service mid-flight, the dispatcher re-picks among
-        the active nodes *other than the source*; failing that the task
-        waits for a booting node (an ordinary re-dispatch, not counted as a
-        completed migration), lands back on its own source (a void round
-        trip whose steal accounting is undone), or force-lands on a
-        draining survivor.
+        A task that waits for a booting node or lands back on its own
+        source did not move: its steal accounting is undone.
         """
         self._migrations_inflight -= 1
-        if self._tracer is not None:
-            self._tracer.end(("m", task.task_id), self.now)
-        landing: Optional[ClusterNode] = None
-        force = False
-        if target.is_active:
-            landing = target
-        else:
-            active = self._active
-            others = [node for node in active if node is not source]
-            if others:
-                landing = self.dispatcher.select_node(task, others)
-            elif active:
-                landing = source  # the only place left is where it came from
-            elif any(node.state is NodeState.BOOTING for node in self.nodes):
-                # Not a completed migration: void the steal accounting (as
-                # the round-trip path does) and park the task for the boot.
-                source.tasks_stolen_away -= 1
-                self.waiting_tasks.append(task)
-                return
-            else:
-                survivors = [
-                    n for n in self.nodes if n.state is NodeState.DRAINING
-                ]
-                if not survivors:
-                    if self.autoscaler is not None or self._chaos is not None:
-                        # The fleet was wiped mid-flight (failures faster
-                        # than the transfer): park the task for the
-                        # replacement/scale-up instead of dying on it.
-                        source.tasks_stolen_away -= 1
-                        self.waiting_tasks.append(task)
-                        return
-                    raise SimulationError(
-                        f"migrated task {task.task_id} has no surviving node "
-                        "to land on"
-                    )
-                landing = min(
-                    survivors, key=lambda n: (normalized_load(n), n.node_id)
-                )
-                force = True
-        if landing is source:
-            # Round trip: nothing actually moved, so it is not a migration —
-            # undo the surrender-side accounting and redeliver plainly.
+        landing, force = self._migration_landing(task, source, target)
+        moved = landing is not None and landing is not source
+        for hook in self.hooks.task_migrated:
+            hook(task, moved, self.now)
+        if not moved:
             source.tasks_stolen_away -= 1
-            source.deliver(task, self.now, force=force or not source.is_active)
+            if landing is None:
+                self.waiting_tasks.append(task)
+            else:
+                # Round trip: nothing actually moved; redeliver plainly.
+                source.deliver(task, self.now, force=force or not source.is_active)
             return
         self.tasks_migrated += 1
-        if self.telemetry is not None:
-            self.telemetry.counters.inc("migration.completed")
         task.metadata["node_migrations"] = task.metadata.get("node_migrations", 0) + 1
         landing.receive_stolen(task, self.now, force=force)
+
+    def _migration_landing(
+        self, task: Task, source: ClusterNode, target: ClusterNode
+    ) -> Tuple[Optional[ClusterNode], bool]:
+        """Where a migrated task lands, and whether that landing is forced.
+
+        If the target left service mid-flight, the dispatcher re-picks among
+        the active nodes *other than the source*; failing that the task
+        lands back on its own source, waits for a booting node (``None``),
+        or force-lands on a draining survivor.
+        """
+        if target.is_active:
+            return target, False
+        active = self._active
+        others = [node for node in active if node is not source]
+        if others:
+            return self.dispatcher.select_node(task, others), False
+        if active:
+            return source, False  # the only place left is where it came from
+        if any(node.state is NodeState.BOOTING for node in self.nodes):
+            return None, False
+        survivors = [n for n in self.nodes if n.state is NodeState.DRAINING]
+        if survivors:
+            return min(survivors, key=lambda n: (normalized_load(n), n.node_id)), True
+        if self.autoscaler is not None or self._chaos is not None:
+            # The fleet was wiped mid-flight (failures faster than the
+            # transfer): wait for the replacement/scale-up instead of dying.
+            return None, False
+        raise SimulationError(
+            f"migrated task {task.task_id} has no surviving node to land on"
+        )
 
     # ---------------------------------------------------------------- running
 

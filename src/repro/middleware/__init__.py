@@ -1,11 +1,12 @@
 """Dispatch-path middleware: stackable policy around the cluster's seams.
 
 The cluster's dispatch path used to be a hardcoded sequence; this package
-makes it a composable pipeline.  A :class:`MiddlewareChain` — held by
-:class:`~repro.cluster.simulator.ClusterSimulator` behind the same
-``is None`` guard pattern as telemetry, so the no-middleware path is the
-exact pre-middleware code path — runs ordered :class:`Middleware` hooks at
-the three seams the telemetry subsystem already instruments:
+makes it a composable pipeline.  A :class:`MiddlewareChain` held by
+:class:`~repro.cluster.simulator.ClusterSimulator` runs ordered
+:class:`Middleware` hooks at three seams; the last two are hooks on the
+run's lifecycle-hook bus, which the chain subscribes to only when some
+middleware observes them, so the no-middleware path is the exact
+pre-middleware code path:
 
 * ``on_dispatch`` — before the dispatcher picks a node; the hook may accept,
   reject (:func:`~repro.middleware.base.reject`) or defer
@@ -25,10 +26,10 @@ a ``Scenario`` declares its stack as JSON (see
       "slo_tracker"
     ]
 
-Each middleware reports through the run's existing
-:class:`~repro.telemetry.runtime.Telemetry` — admission rejections as
-instants on the control plane's middleware lane, retry backoff as spans,
-SLO attainment as a gauge — rather than new plumbing.
+The cluster publishes what middleware decides on the same bus, and the
+telemetry probe records it: rejections and deferrals as instants on the
+control plane's middleware lane, retry backoff as spans.  The SLO tracker
+registers its attainment gauge with the cluster's telemetry.
 """
 
 from repro.middleware.admission import AdmissionControlMiddleware

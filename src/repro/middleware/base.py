@@ -1,7 +1,8 @@
 """Middleware ABC and the ordered chain the cluster runs it through.
 
-A middleware intercepts the three seams of a task's cluster lifecycle — the
-same call sites the telemetry subsystem instruments:
+A middleware intercepts three seams of a task's cluster lifecycle.  Two of
+them are hooks on the run's lifecycle-hook bus
+(:mod:`repro.simulation.hooks`), which the telemetry probe observes too:
 
 * ``on_dispatch`` — the admission decision, *before* the dispatcher picks a
   node.  The only hook with a say: it may accept (return ``None``), reject
@@ -10,8 +11,10 @@ same call sites the telemetry subsystem instruments:
   — the first arrival, a deferred resume, and a retry re-enqueue — so
   stacked policies see retries as ordinary dispatch decisions.
 * ``on_land`` — the task reached a node's scheduler (initial delivery,
-  ingress landing after a wire delay, or a migration landing).
-* ``on_complete`` — the task finished on its node.
+  ingress landing after a wire delay, or a migration landing): the
+  ``task_landed`` hook.
+* ``on_complete`` — the task finished on its node: the ``task_completed``
+  hook.
 
 Hooks are observation-plus-veto only: middleware never mutates queues or
 nodes directly.  The one sanctioned side door is
@@ -22,10 +25,11 @@ on the migration lane, so a retried task can never land twice).
 
 The chain is *ordered*: ``on_dispatch`` runs front to back and the first
 non-``None`` verdict wins (a later middleware never sees a task an earlier
-one dropped); ``on_land`` / ``on_complete`` / ``on_reject`` are broadcast to
-every middleware that overrides them.  Hooks left at the base no-op are
-skipped entirely, so a chain of pure dispatch policies adds nothing to the
-completion hot path.
+one dropped); ``on_land`` / ``on_complete`` / ``on_reject`` (the
+``task_rejected`` hook) are broadcast to every middleware that overrides
+them.  The chain subscribes to a bus hook only when some middleware
+overrides it, so a chain of pure dispatch policies adds nothing to the
+landing and completion paths.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class Middleware(ABC):
 
     Subclasses override any subset of the hooks; the base implementations
     are no-ops and overriding none of them is legal (if pointless).  State
-    needed at hook time (the cluster, telemetry) is reached through
+    needed at hook time (the cluster and its telemetry) is reached through
     :attr:`chain`, assigned when the chain binds to its cluster.
     """
 
@@ -87,7 +91,7 @@ class Middleware(ABC):
     chain: Optional["MiddlewareChain"] = None
 
     def bind(self, chain: "MiddlewareChain") -> None:
-        """Attach to a chain (and through it the cluster + telemetry).
+        """Attach to a chain (and through it the cluster).
 
         Called once per run before any task arrives; override to cache
         lookups or register gauges, and call ``super().bind(chain)`` first.
@@ -123,8 +127,9 @@ class MiddlewareChain:
     """Ordered middleware stack held by one :class:`ClusterSimulator`.
 
     Hook dispatch is precomputed per hook kind: only middlewares that
-    actually override a hook are called, so observation-only stacks cost
-    nothing on the paths they ignore.
+    actually override a hook are called, and the chain subscribes to the
+    cluster's hook bus only for the hooks some middleware overrides, so
+    observation-only stacks cost nothing on the paths they ignore.
     """
 
     def __init__(self, middlewares: Iterable[Middleware]) -> None:
@@ -133,7 +138,6 @@ class MiddlewareChain:
             if not isinstance(mw, Middleware):
                 raise TypeError(f"middleware entries must be Middleware, got {mw!r}")
         self.cluster: Optional["ClusterSimulator"] = None
-        self.telemetry = None
         base = Middleware
         self._dispatch_hooks = [
             mw for mw in self.middlewares
@@ -153,16 +157,18 @@ class MiddlewareChain:
     # ----------------------------------------------------------------- wiring
 
     def bind(self, cluster: "ClusterSimulator") -> None:
-        """Point the chain (and every middleware) at its cluster."""
+        """Point the chain (and every middleware) at its cluster and
+        subscribe the observed hooks to the cluster's hook bus."""
         self.cluster = cluster
-        self.telemetry = cluster.telemetry
         for mw in self.middlewares:
             mw.bind(self)
-
-    @property
-    def has_land_hooks(self) -> bool:
-        """True when some middleware observes landings (node-side guard)."""
-        return bool(self._land_hooks)
+        hooks = cluster.hooks
+        if self._land_hooks:
+            hooks.subscribe("task_landed", self.on_land)
+        if self._complete_hooks:
+            hooks.subscribe("task_completed", self.on_complete)
+        if self._reject_hooks:
+            hooks.subscribe("task_rejected", self.notify_reject)
 
     def names(self) -> List[str]:
         """Middleware registry names in chain order."""

@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING, Dict
 
 from repro.middleware.base import ADMIT_TAG, TIMEOUT_TAG, Middleware
 from repro.simulation.events import EventPriority
-from repro.telemetry.tracer import CLUSTER_PID, MIDDLEWARE_TID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import ClusterNode
@@ -130,15 +129,6 @@ class TimeoutRetryMiddleware(Middleware):
             self.exhausted += 1
         task.metadata["retries"] = attempt
         delay = self.backoff_delay(attempt)
-        telemetry = self.chain.telemetry
-        if telemetry is not None:
-            if telemetry.tracer is not None:
-                # Closed by the cluster when the task re-enters the chain.
-                telemetry.tracer.begin(
-                    ("b", task.task_id), "backoff", CLUSTER_PID, MIDDLEWARE_TID,
-                    now, task.task_id,
-                )
-            telemetry.counters.inc("middleware.retry.timeouts")
         cluster.events.push(
             now + delay,
             None,

@@ -56,7 +56,7 @@ class SLOTrackerMiddleware(Middleware):
 
     def bind(self, chain) -> None:
         super().bind(chain)
-        telemetry = chain.telemetry
+        telemetry = chain.cluster.telemetry
         if telemetry is not None:
             telemetry.gauges.register(
                 "middleware.slo_attainment",

@@ -194,7 +194,7 @@ class Scenario:
     utilization_window: float = 1.0
     cost: CostSpec = field(default_factory=CostSpec)
     #: Telemetry configuration (valid for single-machine and cluster runs);
-    #: ``None`` keeps the engines on the exact pre-telemetry code path.
+    #: ``None`` subscribes no telemetry probe: the run is unchanged.
     telemetry: Optional[TelemetrySpec] = None
     #: Streaming trace replay (valid for single-machine and cluster runs);
     #: ``None`` keeps the classic materialise-everything path.  When set, the

@@ -36,13 +36,14 @@ from repro.simulation.events import (
     EventPriority,
     EventQueue,
 )
+from repro.simulation.hooks import HookBus
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import MetricsCollector, record_series
 from repro.simulation.results import SimulationResult, build_result
 from repro.simulation.task import Task
 from repro.telemetry.gauges import SAMPLER_TAG
+from repro.telemetry.probe import TelemetryProbe
 from repro.telemetry.runtime import as_telemetry
-from repro.telemetry.tracer import MACHINE_PID, QUEUE_TID, core_tid
 
 #: Tag of a fed arrival event (payload: the task), on every simulator.
 ARRIVAL_TAG = "arrival"
@@ -55,8 +56,8 @@ class SimulationError(RuntimeError):
 
 
 class EventLoop:
-    """Clock, event queue, arrival feed, batched drain loop and the run's
-    one finished-task store.
+    """Clock, event queue, arrival feed, batched drain loop, and the run's
+    one finished-task store and one hook bus.
 
     Subclasses route events and name the machines the loop drives:
 
@@ -72,9 +73,15 @@ class EventLoop:
 
     _loop_config: SimulationConfig
 
-    def __init__(self, columns: Optional[TaskColumns] = None) -> None:
+    def __init__(self, columns: Optional[TaskColumns] = None, telemetry=None) -> None:
         self.clock = VirtualClock()
         self.events = EventQueue()
+        #: The run's one hook bus: every lifecycle call site on this loop
+        #: fires its named hook here (see :mod:`repro.simulation.hooks`).
+        self.hooks = HookBus()
+        #: Telemetry runtime (from a spec or a live one); None when off.  A
+        #: subclass subscribes its :class:`TelemetryProbe` to the bus.
+        self.telemetry = as_telemetry(telemetry)
         #: The run's one columnar store: every engine on the loop appends
         #: each finished task here once, tagged with its node id.  May be a
         #: capped store (reservoir/spill) on memory-bounded runs.
@@ -326,7 +333,6 @@ class MachineEngine:
         scheduler,
         loop: EventLoop,
         config: Optional[SimulationConfig] = None,
-        telemetry=None,
     ) -> None:
         self.machine = machine
         self.scheduler = scheduler
@@ -335,13 +341,8 @@ class MachineEngine:
         self.loop = loop
         self.clock = loop.clock
         self.events = loop.events
-        # Accepts a TelemetrySpec, a live Telemetry (the cluster layer shares
-        # one across node engines), or None.  ``_tracer``/``_trace_pid`` are
-        # cached so hot-path guards are one attribute load; the cluster layer
-        # reassigns ``_trace_pid`` to the node's track.
-        self.telemetry = as_telemetry(telemetry)
-        self._tracer = self.telemetry.tracer if self.telemetry is not None else None
-        self._trace_pid = MACHINE_PID
+        #: The loop's hook bus; task start, stop and finish fire on it.
+        self.hooks = loop.hooks
         #: Tasks this machine holds (queued or running) that have not finished.
         self._unfinished = 0
         #: The cluster node this engine serves (None on a standalone machine).
@@ -388,20 +389,16 @@ class MachineEngine:
 
     def record_series(self, name: str, value: float) -> None:
         """Record one point of a named time series at the current time."""
-        record_series(self.collector.series, name, self.now, value, self.telemetry)
+        record_series(
+            self.collector.series, name, self.now, value, self.loop.telemetry
+        )
 
     # ----------------------------------------------------- task/core plumbing
 
     def start_task(self, task: Task, core: Core) -> None:
         """Begin (or resume) executing ``task`` on ``core``."""
-        tracer = self._tracer
-        if tracer is not None:
-            tid = task.task_id
-            tracer.end(("q", tid), self.now)
-            tracer.begin(
-                ("r", tid), "run", self._trace_pid,
-                core_tid(core.core_id), self.now, tid,
-            )
+        for hook in self.hooks.task_started:
+            hook(self, task, core, self.now)
         core.add_task(task, self.now)
         self._reschedule_completion(core)
 
@@ -409,28 +406,17 @@ class MachineEngine:
         """Remove ``task`` from ``core`` (involuntarily unless stated otherwise)."""
         removed = core.remove_task(task, self.now, preempted=preempted)
         self._reschedule_completion(core)
-        tracer = self._tracer
-        if tracer is not None:
-            tid = task.task_id
-            tracer.end(("r", tid), self.now)
-            if preempted:
-                # The task is runnable again but off-core: back to waiting.
-                tracer.begin(
-                    ("q", tid), "queued", self._trace_pid, QUEUE_TID, self.now, tid
-                )
+        for hook in self.hooks.task_stopped:
+            hook(self, task, preempted, self.now)
         return removed
 
     def drain_core(self, core: Core) -> List[Task]:
         """Preempt and return every task on ``core`` (core-migration protocol)."""
         drained = core.drain(self.now)
         self._reschedule_completion(core)
-        tracer = self._tracer
-        if tracer is not None:
-            pid = self._trace_pid
-            for task in drained:
-                tid = task.task_id
-                tracer.end(("r", tid), self.now)
-                tracer.begin(("q", tid), "queued", pid, QUEUE_TID, self.now, tid)
+        for task in drained:
+            for hook in self.hooks.task_stopped:
+                hook(self, task, True, self.now)
         return drained
 
     # ----------------------------------------------------------- event logic
@@ -440,13 +426,13 @@ class MachineEngine:
         core._completion_handle = None
         finished = core.finish_ready_tasks(self.now)
         self._reschedule_completion(core)
-        tracer = self._tracer
+        hooks = self.hooks.task_finished
         columns = self.loop.columns
         node_id = self.node_id
         for task in finished:
             self._unfinished -= 1
-            if tracer is not None:
-                tracer.end(("r", task.task_id), self.now)
+            for hook in hooks:
+                hook(self, task, self.now)
             columns.append(task, node_id)
             self.scheduler.on_task_finished(task, core)
         return finished
@@ -478,11 +464,11 @@ class Simulator(EventLoop, MachineEngine):
         columns: Optional[TaskColumns] = None,
         telemetry=None,
     ) -> None:
-        EventLoop.__init__(self, columns)
-        MachineEngine.__init__(
-            self, machine, scheduler, self, config=config, telemetry=telemetry
-        )
+        EventLoop.__init__(self, columns, telemetry)
+        MachineEngine.__init__(self, machine, scheduler, self, config=config)
         self._loop_config = self.config
+        if self.telemetry is not None:
+            TelemetryProbe(self.telemetry).attach_machine(self)
 
     def _engines(self):
         return (self,)
@@ -491,12 +477,11 @@ class Simulator(EventLoop, MachineEngine):
 
     def _on_arrival(self, task: Task) -> None:
         task.mark_queued()
-        tracer = self._tracer
-        if tracer is not None:
-            pid = self._trace_pid
-            tid = task.task_id
-            tracer.instant("arrival", pid, QUEUE_TID, self.now, tid)
-            tracer.begin(("q", tid), "queued", pid, QUEUE_TID, self.now, tid)
+        hooks = self.hooks
+        for hook in hooks.task_arrived:
+            hook(task, self.now)
+        for hook in hooks.task_queued:
+            hook(self, task, self.now)
         self.scheduler.on_task_arrival(task)
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
@@ -505,7 +490,7 @@ class Simulator(EventLoop, MachineEngine):
         self._running = True
         self.scheduler.on_start()
         if self.telemetry is not None:
-            self._start_telemetry()
+            self._start_progress()
         self._start_utilization()
         self._drain(until if until is not None else self.config.max_simulated_time)
         telemetry_snapshot = self._finish_run()
@@ -522,22 +507,6 @@ class Simulator(EventLoop, MachineEngine):
             telemetry=telemetry_snapshot,
             tasks_submitted=self._tasks_submitted,
         )
-
-    def _start_telemetry(self) -> None:
-        """Wire this standalone machine's tracks and gauges, arm the sampler."""
-        tracer = self._tracer
-        if tracer is not None:
-            pid = self._trace_pid
-            tracer.name_process(pid, "machine")
-            tracer.name_track(pid, QUEUE_TID, "queue")
-            for core in self.machine.cores:
-                tracer.name_track(pid, core_tid(core.core_id), f"core {core.core_id}")
-        self.telemetry.gauges.register(
-            "machine.busy_cores",
-            lambda: sum(1 for core in self.machine.cores if core.is_busy),
-            self.collector.series,
-        )
-        self._start_progress()
 
 
 def simulate(

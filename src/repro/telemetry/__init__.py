@@ -19,15 +19,19 @@ JSON:
 * :class:`CounterRegistry` — monotonic named counters (steals planned,
   scale decisions).
 
+All three are written by one subscriber,
+:class:`~repro.telemetry.probe.TelemetryProbe`, which turns the lifecycle
+hooks every simulator fires on its event loop's hook bus
+(:mod:`repro.simulation.hooks`) into spans, instants, counters and gauges.
+With telemetry disabled (the default) nothing subscribes: every hook tuple
+is empty, no extra events enter the queue, and runs are bit-identical to
+the pre-telemetry engine.
+
 Exporters turn a finished run into a Chrome trace-event JSON file (opens
 directly in Perfetto / ``chrome://tracing``, one track per node and core),
 a columnar timeline table alongside
 :class:`~repro.simulation.columns.TaskColumns`, or a terminal progress
 report for long runs.
-
-With telemetry disabled (the default) every instrumented call site reduces
-to one attribute load and an ``is None`` branch, and no extra events enter
-the queue — runs are bit-identical to the pre-telemetry engine.
 """
 
 from repro.telemetry.export import (

@@ -1,9 +1,11 @@
 """The live telemetry runtime and its end-of-run snapshot.
 
-One :class:`Telemetry` instance serves one run: the engines hold it for the
-duration, instrument their hot paths against its tracer (guarded by a plain
-``is None`` check so the off path stays pre-telemetry identical), and call
-:meth:`Telemetry.finish` + :meth:`Telemetry.snapshot` when the clock stops.
+One :class:`Telemetry` instance serves one run: the run's event loop holds
+it, a :class:`~repro.telemetry.probe.TelemetryProbe` subscribed to the
+loop's lifecycle-hook bus records into it (with telemetry off nothing
+subscribes, so every hook tuple is empty and the run is unchanged), and the
+loop calls :meth:`Telemetry.finish` + :meth:`Telemetry.snapshot` when the
+clock stops.
 The snapshot is a value object carried on results — exporters and
 ``describe()`` read it, never the live runtime.
 """

@@ -5,14 +5,16 @@ carried by :class:`~repro.scenario.scenario.Scenario` (round-tripping
 through its JSON form) or passed directly to
 :func:`~repro.simulation.engine.simulate` /
 :func:`~repro.cluster.simulator.simulate_cluster`.  ``build()`` turns the
-spec into the live :class:`~repro.telemetry.runtime.Telemetry` runtime the
-engines instrument against; ``None`` (no spec) keeps the engines on the
-exact pre-telemetry code path.
+spec into the live :class:`~repro.telemetry.runtime.Telemetry` runtime a
+run's telemetry probe records into; ``None`` (no spec) subscribes nothing
+to the run's hook bus, so the run is bit-identical to one without
+telemetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any, Dict, Optional
 
 #: Default cap on stored trace events (spans + instants).  Million-invocation
@@ -22,6 +24,15 @@ DEFAULT_MAX_EVENTS = 1_000_000
 
 #: Gauge-sampling interval used when only progress reporting was requested.
 _PROGRESS_DRIVE_INTERVAL = 1.0
+
+#: (field, accepted type, what the error message says it must be).
+_FIELD_TYPES = (
+    ("trace", bool, "a bool"),
+    ("sample_interval", Real, "a number or None"),
+    ("progress", bool, "a bool"),
+    ("progress_interval", Real, "a number"),
+    ("max_events", Integral, "an integer or None"),
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,16 @@ class TelemetrySpec:
     max_events: Optional[int] = DEFAULT_MAX_EVENTS
 
     def __post_init__(self) -> None:
+        # Reject wrong types by name: a truthy string like "false" must not
+        # quietly switch tracing on, nor a bool pass for a number.
+        for name, kind, expected in _FIELD_TYPES:
+            value = getattr(self, name)
+            if value is None and expected.endswith("None"):
+                continue
+            if not isinstance(value, kind) or (
+                kind is not bool and isinstance(value, bool)
+            ):
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
         if self.sample_interval is not None and self.sample_interval <= 0:
             raise ValueError(
                 f"sample_interval must be positive when set, got "

@@ -27,6 +27,9 @@ from hypothesis import strategies as st
 
 from golden_scenarios import TOLERANCE, assert_close, load_golden
 from repro.cluster import ClusterConfig, NodeSpec, simulate_cluster
+from repro.cluster.autoscaler import ReactiveAutoscaler
+from repro.cluster.config import NetworkSpec
+from repro.cluster.simulator import ClusterSimulator
 from repro.experiments.common import two_minute_workload
 from repro.middleware import (
     AdmissionControlMiddleware,
@@ -45,6 +48,7 @@ from repro.middleware import (
 )
 from repro.scenario import Scenario
 from repro.simulation.events import EventPriority
+from repro.simulation.hooks import HOOKS
 from repro.simulation.task import Task
 from repro.telemetry import TelemetrySpec
 
@@ -315,10 +319,28 @@ class TestMiddlewareChain:
             MiddlewareChain([object()])
 
     def test_hook_pruning_skips_base_noops(self):
-        chain = MiddlewareChain([AdmissionControlMiddleware()])
-        assert not chain.has_land_hooks  # admission only overrides dispatch
-        chain = MiddlewareChain([TimeoutRetryMiddleware()])
-        assert chain.has_land_hooks
+        # Admission only overrides dispatch: the chain subscribes no landing.
+        cluster = ClusterSimulator(
+            tiny_cluster_config(), middleware=[AdmissionControlMiddleware()]
+        )
+        assert cluster.hooks.task_landed == ()
+        cluster = ClusterSimulator(
+            tiny_cluster_config(), middleware=[TimeoutRetryMiddleware()]
+        )
+        assert cluster.hooks.task_landed == (cluster._middleware.on_land,)
+
+    def test_no_observer_leaves_every_hook_empty(self):
+        cluster = ClusterSimulator(
+            tiny_cluster_config(
+                network=NetworkSpec(rtt=0.01), migration="work_stealing"
+            ),
+            autoscaler=ReactiveAutoscaler(),
+            chaos={"crash_rate": 0.5},
+        )
+        cluster.submit(build_tasks([(0.1 * i, 0.5) for i in range(20)]))
+        result = cluster.run()
+        assert result.finished_count == 20
+        assert all(getattr(cluster.hooks, name) == () for name in HOOKS)
 
     def test_stats_deduplicate_names(self):
         chain = MiddlewareChain(

@@ -141,6 +141,33 @@ class TestTelemetrySpec:
         with pytest.raises(ValueError):
             TelemetrySpec(max_events=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trace", "false"),
+            ("trace", 1),
+            ("progress", "true"),
+            ("progress", None),
+            ("max_events", 2.5),
+            ("max_events", True),
+            ("max_events", "100"),
+            ("sample_interval", "1.0"),
+            ("sample_interval", True),
+            ("progress_interval", "5"),
+            ("progress_interval", None),
+        ],
+    )
+    def test_scenario_rejects_wrongly_typed_fields(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            Scenario.from_dict({"telemetry": {field: value}})
+
+    def test_scenario_accepts_numeric_fields(self):
+        spec = Scenario.from_dict(
+            {"telemetry": {"sample_interval": 1, "max_events": None,
+                           "progress_interval": 0}}
+        ).telemetry
+        assert spec.sample_interval == 1 and spec.max_events is None
+
     def test_to_dict_omits_defaults(self):
         assert TelemetrySpec().to_dict() == {}
 

@@ -1,6 +1,7 @@
 """The paper's primary contribution: the hybrid FIFO+CFS scheduler.
 
-The hybrid scheduler splits a ghOSt enclave into two CPU core groups:
+The hybrid scheduler splits a machine's cores into two CPU core groups
+(the paper deploys it as a ghOSt policy; the simulator calls it directly):
 
 * a **FIFO group** running short tasks to completion from a centralized
   global queue, and

@@ -1,6 +1,6 @@
 """The hybrid FIFO+CFS scheduler (§IV of the paper).
 
-The enclave's cores are split into a FIFO group and a CFS group:
+The machine's cores are split into a FIFO group and a CFS group:
 
 * New tasks always enter the **FIFO group**: a centralized global queue feeds
   idle FIFO cores, and a dispatched task runs uninterrupted.  When a task has
@@ -11,10 +11,11 @@ The enclave's cores are split into a FIFO group and a CFS group:
   (few) long tasks assigned to it.  Preempted tasks are spread over the CFS
   cores round-robin (or least-loaded, configurable).
 
-The scheduler is written as a ghOSt policy: simulator callbacks are turned
-into enclave messages (TASK_NEW / TASK_DEAD / TASK_PREEMPT) that the global
-agent drains and routes back into the policy handlers, mirroring the paper's
-centralized-agent architecture (§IV-A).
+The paper deploys this policy on ghOSt (§IV-A): the kernel posts TASK_NEW /
+TASK_DEAD messages that a centralized global agent drains into the policy.
+The simulator calls the policy directly instead (``on_task_arrival`` and
+``on_task_finished`` are those two handlers), because draining the messages
+at once adds no simulated delay and no scheduling decision.
 
 Two provider-side mechanisms are built in (§IV-B):
 
@@ -31,9 +32,6 @@ from typing import Deque, Dict, List, Optional
 from repro.core.config import CFS_GROUP, CFSPlacement, FIFO_GROUP, HybridConfig
 from repro.core.rightsizing import RightsizingController, RightsizingDecision
 from repro.core.time_limit import TimeLimitPolicy, build_time_limit_policy
-from repro.ghost.agent import AgentGroup
-from repro.ghost.enclave import Enclave
-from repro.ghost.messages import Message
 from repro.monitoring.monitor import GroupUtilizationMonitor
 from repro.monitoring.sampler import UtilizationSampler
 from repro.monitoring.shared_memory import UtilizationStore
@@ -58,8 +56,6 @@ class HybridScheduler(Scheduler):
             window=self.hconfig.time_limit_window,
         )
         self.fifo_queue: Deque[Task] = deque()
-        self.enclave: Optional[Enclave] = None
-        self.agents: Optional[AgentGroup] = None
         self.store = UtilizationStore()
         self.sampler = UtilizationSampler(self.store)
         self.monitor = GroupUtilizationMonitor(
@@ -84,6 +80,11 @@ class HybridScheduler(Scheduler):
 
     def preferred_groups(self, num_cores: int) -> Dict[str, int]:
         """FIFO/CFS split, rescaled proportionally if the machine size differs."""
+        if num_cores < 2:
+            raise ValueError(
+                "the hybrid scheduler needs num_cores >= 2 (one FIFO and one CFS "
+                f"core at least), got num_cores={num_cores}"
+            )
         cfg = self.hconfig
         if num_cores == cfg.total_cores:
             return {FIFO_GROUP: cfg.fifo_cores, CFS_GROUP: cfg.cfs_cores}
@@ -93,19 +94,13 @@ class HybridScheduler(Scheduler):
 
     def attach(self, simulator) -> None:
         super().attach(simulator)
-        groups = self.machine.groups
-        if FIFO_GROUP not in groups or CFS_GROUP not in groups:
+        sizes = self.machine.group_sizes()
+        if not sizes.get(FIFO_GROUP) or not sizes.get(CFS_GROUP):
             raise ValueError(
-                "the hybrid scheduler needs a machine with 'fifo' and 'cfs' core "
-                f"groups; got {sorted(groups)} — build the machine with "
+                "the hybrid scheduler needs a machine with non-empty 'fifo' and "
+                f"'cfs' core groups; got {sizes} — build the machine with "
                 "groups=scheduler.preferred_groups(num_cores)"
             )
-        self.enclave = Enclave(
-            cpu_ids=[core.core_id for core in self.machine.cores], name="faas-enclave"
-        )
-        self.enclave.assign_policy_group(FIFO_GROUP, groups[FIFO_GROUP].core_ids)
-        self.enclave.assign_policy_group(CFS_GROUP, groups[CFS_GROUP].core_ids)
-        self.agents = AgentGroup(self.enclave, self)
         if self.hconfig.rightsizing:
             self.rightsizer = RightsizingController(self.machine, self.monitor, self.hconfig)
 
@@ -121,23 +116,6 @@ class HybridScheduler(Scheduler):
             self._schedule_rightsizing()
 
     def on_task_arrival(self, task: Task) -> None:
-        self.enclave.publish_task_new(task.task_id, self.now, payload=task)
-        self.agents.process_pending()
-
-    def on_task_finished(self, task: Task, core: Core) -> None:
-        self.enclave.publish_task_dead(task.task_id, self.now, payload=(task, core))
-        self.agents.process_pending()
-
-    def on_end(self) -> None:
-        self.sim.record_series("fifo_cores", self.machine.group_size(FIFO_GROUP))
-        self.sim.record_series("cfs_cores", self.machine.group_size(CFS_GROUP))
-
-    # ------------------------------------------------------- ghOSt policy API
-
-    def handle_task_new(self, message: Message) -> None:
-        task: Task = message.payload
-        word = self.enclave.status_word(task.task_id)
-        word.mark_queued(FIFO_GROUP)
         core = self.first_idle_core(FIFO_GROUP)
         if core is not None:
             self._dispatch_fifo(task, core)
@@ -145,17 +123,14 @@ class HybridScheduler(Scheduler):
             task.mark_queued()
             self.fifo_queue.append(task)
 
-    def handle_task_dead(self, message: Message) -> None:
-        task, core = message.payload
-        word = self.enclave.status_word(task.task_id)
-        word.mark_dead(message.timestamp)
+    def on_task_finished(self, task: Task, core: Core) -> None:
         timer = self._limit_timers.pop(task.task_id, None)
         if timer is not None:
             timer.cancel()
         duration = task.execution_time
         if duration is None:
             duration = task.service_time
-        self.time_limit_policy.observe(duration, message.timestamp)
+        self.time_limit_policy.observe(duration, self.now)
         self.sim.record_series("time_limit", self.time_limit_policy.current())
         if core.group == FIFO_GROUP:
             self.tasks_completed_in_fifo += 1
@@ -163,24 +138,19 @@ class HybridScheduler(Scheduler):
         else:
             self.tasks_completed_in_cfs += 1
 
-    def handle_task_preempt(self, message: Message) -> None:
-        """Preemptions are initiated by the policy itself; nothing extra to do."""
-
-    def handle_cpu_tick(self, message: Message) -> None:
-        """Per-CPU ticks are unused: limits are enforced with per-task timers."""
+    def on_end(self) -> None:
+        self.sim.record_series("fifo_cores", self.machine.group_size(FIFO_GROUP))
+        self.sim.record_series("cfs_cores", self.machine.group_size(CFS_GROUP))
 
     # ------------------------------------------------------------- FIFO group
 
     def _dispatch_fifo(self, task: Task, core: Core) -> None:
         self.sim.start_task(task, core)
-        word = self.enclave.status_word(task.task_id)
-        word.mark_on_cpu(core.core_id, self.now)
-        word.group = FIFO_GROUP
         limit = self.time_limit_policy.current()
         handle = self.sim.schedule_timer(
             limit,
             lambda t=task, c=core: self._on_limit_expired(t, c),
-            tag=f"fifo-limit-{task.task_id}",
+            tag="fifo-limit",
         )
         self._limit_timers[task.task_id] = handle
 
@@ -203,15 +173,8 @@ class HybridScheduler(Scheduler):
             # The core was rightsized to the CFS group while the task was on
             # it; the task is already where long tasks belong.
             return
-        self.enclave.publish_task_preempt(task.task_id, self.now, payload=task)
-        self.agents.process_pending()
-        word = self.enclave.status_word(task.task_id)
         self.sim.stop_task(task, core, preempted=True)
-        word.mark_preempted(self.now)
-        target = self._pick_cfs_core()
-        self.sim.start_task(task, target)
-        word.mark_on_cpu(target.core_id, self.now)
-        word.group = CFS_GROUP
+        self.sim.start_task(task, self._pick_cfs_core())
         task.groups_visited.append(CFS_GROUP)
         self.tasks_preempted_to_cfs += 1
         self._dispatch_next_fifo(core)
@@ -283,10 +246,7 @@ class HybridScheduler(Scheduler):
         for task in displaced:
             target = min(remaining, key=lambda c: (c.nr_running, c.core_id))
             self.sim.start_task(task, target)
-            word = self.enclave.status_word(task.task_id)
-            word.mark_on_cpu(target.core_id, self.now)
         self.machine.move_core(core.core_id, CFS_GROUP, FIFO_GROUP)
-        self.enclave.move_cpu(core.core_id, CFS_GROUP, FIFO_GROUP)
         core.unlock()
         self._dispatch_next_fifo(core)
         return core
@@ -305,10 +265,7 @@ class HybridScheduler(Scheduler):
             timer = self._limit_timers.pop(running.task_id, None)
             if timer is not None:
                 timer.cancel()
-            word = self.enclave.status_word(running.task_id)
-            word.group = CFS_GROUP
         self.machine.move_core(core.core_id, FIFO_GROUP, CFS_GROUP)
-        self.enclave.move_cpu(core.core_id, FIFO_GROUP, CFS_GROUP)
         self._rebalance_cfs_queues(core)
         return core
 
@@ -325,8 +282,6 @@ class HybridScheduler(Scheduler):
             task = max(candidates, key=lambda t: t.remaining)
             self.sim.stop_task(task, busiest, preempted=True)
             self.sim.start_task(task, new_core)
-            word = self.enclave.status_word(task.task_id)
-            word.mark_on_cpu(new_core.core_id, self.now)
 
     # --------------------------------------------------------------- stealing
 
@@ -360,8 +315,6 @@ class HybridScheduler(Scheduler):
             "fifo_cores": self.machine.group_size(FIFO_GROUP) if self.machine else 0,
             "cfs_cores": self.machine.group_size(CFS_GROUP) if self.machine else 0,
         }
-        if self.enclave is not None:
-            data.update(self.enclave.stats())
         if self.rightsizer is not None:
             data["core_migrations"] = self.rightsizer.migration_count
         return data

@@ -2,8 +2,7 @@
 
 Experiments and examples refer to policies by name; the registry maps those
 names to factories so new policies (including user-defined ones) can be
-plugged into the harness without touching experiment code — mirroring how
-ghOSt lets operators swap the policy running inside an enclave.
+plugged into the harness without touching experiment code.
 """
 
 from __future__ import annotations

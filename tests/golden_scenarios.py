@@ -1,7 +1,7 @@
 """Golden scenarios shared by the equivalence suite and the capture script.
 
-Three representative workloads exercise every accounting path the
-virtual-time core model replaced:
+Four representative workloads exercise every accounting path the
+virtual-time core model replaced, plus the hybrid's core rightsizing:
 
 * ``cfs_high_mp`` — one CFS machine driven far into multiprogramming, so
   per-event cost is dominated by fair-share accounting (the tentpole's O(n)
@@ -12,11 +12,16 @@ virtual-time core model replaced:
 * ``hetero_cluster_stealing`` — the 2x24 + 4x8 big/little fleet under
   capacity-normalised JSQ with work-stealing migration: shared event queue,
   per-node engines, steals re-keying queued work across nodes.
+* ``hybrid_rightsizing`` — the 25/25 hybrid with the adaptive (p95) limit
+  and Fig. 8 rightsizing on: cores move between the FIFO and CFS groups
+  both ways, draining, redistributing and rebalancing running tasks.
 
 The fixture ``tests/golden/golden_metrics.json`` was captured from the
-pre-virtual-time (eager, O(n)-sync) engine at commit ``bf121a5``; the suite
-in ``test_golden_equivalence.py`` asserts the rewritten engine reproduces
-those numbers within 1e-9.
+pre-virtual-time (eager, O(n)-sync) engine at commit ``bf121a5``
+(``hybrid_rightsizing`` was added later, captured at commit ``8ffd8e6``
+before the hybrid scheduler stopped routing through an emulated enclave);
+the suite in ``test_golden_equivalence.py`` asserts the rewritten engine
+reproduces those numbers within 1e-9.
 
 Regenerate (only when intentionally changing simulation semantics) with::
 
@@ -55,6 +60,15 @@ def _summary_metrics(summary: TaskMetricsSummary, prefix: str = "") -> Dict[str,
     return {f"{prefix}{key}": float(value) for key, value in data.items()}
 
 
+def _machine_metrics(result) -> Dict[str, float]:
+    """Summary, preemptions, simulated time and finished count of one machine run."""
+    metrics = _summary_metrics(result.summary())
+    metrics["total_preemptions"] = float(result.total_preemptions())
+    metrics["simulated_time"] = float(result.simulated_time)
+    metrics["finished"] = float(len(result.finished_tasks))
+    return metrics
+
+
 def _high_mp_tasks(count: int = 320, seed: int = 1234) -> list:
     """A seeded burst: ``count`` tasks land within 2 s on a 4-core machine."""
     rng = np.random.default_rng(seed)
@@ -72,21 +86,27 @@ def scenario_cfs_high_mp() -> Dict[str, float]:
         _high_mp_tasks(),
         config=SimulationConfig(num_cores=4, record_utilization=False),
     )
-    metrics = _summary_metrics(result.summary())
-    metrics["total_preemptions"] = float(result.total_preemptions())
-    metrics["simulated_time"] = float(result.simulated_time)
-    metrics["finished"] = float(len(result.finished_tasks))
-    return metrics
+    return _machine_metrics(result)
 
 
 def scenario_hybrid_fig12() -> Dict[str, float]:
     result = simulate(
         HybridScheduler(paper_hybrid_config()), two_minute_workload(0.2)
     )
-    metrics = _summary_metrics(result.summary())
-    metrics["total_preemptions"] = float(result.total_preemptions())
-    metrics["simulated_time"] = float(result.simulated_time)
-    metrics["finished"] = float(len(result.finished_tasks))
+    return _machine_metrics(result)
+
+
+def scenario_hybrid_rightsizing() -> Dict[str, float]:
+    config = (
+        paper_hybrid_config()
+        .with_adaptive_limit(95, window=100)
+        .with_rightsizing(True)
+    )
+    scheduler = HybridScheduler(config)
+    result = simulate(scheduler, two_minute_workload(0.2))
+    metrics = _machine_metrics(result)
+    metrics["core_migrations"] = float(scheduler.rightsizer.migration_count)
+    metrics["tasks_preempted_to_cfs"] = float(scheduler.tasks_preempted_to_cfs)
     return metrics
 
 
@@ -116,6 +136,7 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, float]]] = {
     "cfs_high_mp": scenario_cfs_high_mp,
     "hybrid_fig12": scenario_hybrid_fig12,
     "hetero_cluster_stealing": scenario_hetero_cluster_stealing,
+    "hybrid_rightsizing": scenario_hybrid_rightsizing,
 }
 
 

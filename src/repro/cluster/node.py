@@ -217,15 +217,16 @@ class ClusterNode:
                 f"cannot dispatch to node {self.node_id} in state {self.state.value}"
             )
         task.metadata["node_id"] = self.node_id
+        engine = self.engine
         self.inflight += 1
         self.tasks_assigned += 1
-        self.engine._unfinished += 1
+        engine._unfinished += 1
         self._notify_load()
         task.mark_queued()
-        hooks = self.engine.hooks
+        hooks = engine.hooks
         for hook in hooks.task_queued:
-            hook(self.engine, task, now)
-        self.scheduler.on_task_arrival(task)
+            hook(engine, task, now)
+        engine.scheduler.on_task_arrival(task)
         for hook in hooks.task_landed:
             hook(task, self, now)
 

@@ -409,7 +409,7 @@ class ClusterSimulator(EventLoop):
 
     def _on_arrival(self, task: Task) -> None:
         for hook in self.hooks.task_arrived:
-            hook(task, self.now)
+            hook(task, self.clock.now)
         if self._middleware is not None:
             self._admit(task)
             return
@@ -507,18 +507,19 @@ class ClusterSimulator(EventLoop):
             return
         node = self.dispatcher.select_node(task, active)
         delay = node.dispatch_delay
+        now = self.clock.now
         for hook in self.hooks.task_dispatched:
-            hook(task, node, self.now)
+            hook(task, node, now)
         if delay <= 0.0:
             # Zero-RTT network: the exact instantaneous pre-network path.
-            node.deliver(task, self.now)
+            node.deliver(task, now)
             return
         # Non-zero RTT: the task goes on the wire into the node's ingress
         # queue (counted by load signals immediately) and lands on the node's
         # scheduler after the wire delay, as its own arrival-priority event.
         node.begin_ingress(task)
         self.events.push(
-            self.now + delay,
+            now + delay,
             None,
             priority=EventPriority.ARRIVAL,
             tag="cluster-ingress",
@@ -529,7 +530,7 @@ class ClusterSimulator(EventLoop):
         node.on_task_finished(task)
         self._unfinished -= 1
         for hook in self.hooks.task_completed:
-            hook(task, node, self.now)
+            hook(task, node, self.clock.now)
         if node.state is NodeState.DRAINING and bound_work(node) == 0:
             self._retire_node(node)
 

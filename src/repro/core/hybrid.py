@@ -37,7 +37,7 @@ from repro.monitoring.sampler import UtilizationSampler
 from repro.monitoring.shared_memory import UtilizationStore
 from repro.schedulers.base import Scheduler
 from repro.simulation.cpu import Core
-from repro.simulation.events import EventHandle
+from repro.simulation.events import Event
 from repro.simulation.task import Task
 
 
@@ -62,7 +62,7 @@ class HybridScheduler(Scheduler):
             self.store, window=self.hconfig.utilization_window
         )
         self.rightsizer: Optional[RightsizingController] = None
-        self._limit_timers: Dict[int, EventHandle] = {}
+        self._limit_timers: Dict[int, Event] = {}
         self._rr_index = 0
         # Counters surfaced in reports / tests.
         self.tasks_preempted_to_cfs = 0
@@ -120,7 +120,7 @@ class HybridScheduler(Scheduler):
         if core is not None:
             self._dispatch_fifo(task, core)
         else:
-            task.mark_queued()
+            # The event loop (or the cluster node) marked the arrival queued.
             self.fifo_queue.append(task)
 
     def on_task_finished(self, task: Task, core: Core) -> None:
@@ -130,7 +130,7 @@ class HybridScheduler(Scheduler):
         duration = task.execution_time
         if duration is None:
             duration = task.service_time
-        self.time_limit_policy.observe(duration, self.now)
+        self.time_limit_policy.observe(duration, self.sim.clock.now)
         self.sim.record_series("time_limit", self.time_limit_policy.current())
         if core.group == FIFO_GROUP:
             self.tasks_completed_in_fifo += 1

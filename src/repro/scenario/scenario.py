@@ -28,6 +28,7 @@ built — fixed-seed runs are bit-identical either way.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -118,6 +119,11 @@ class CostSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CostSpec":
         return cls(**data)
+
+
+def _is_int(value: Any) -> bool:
+    """An integer, but not a bool (``True`` would pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,12 @@ class Scenario:
                     + ", ".join(set_fields)
                     + " (set num_nodes or node_specs for a cluster run)"
                 )
+        if not _is_int(self.num_cores):
+            raise TypeError(f"num_cores must be an integer, got {self.num_cores!r}")
         if self.num_cores <= 0:
             raise ValueError(f"num_cores must be positive, got {self.num_cores!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise TypeError(f"seed must be an integer or None, got {self.seed!r}")
 
     # ------------------------------------------------------------------ shape
 

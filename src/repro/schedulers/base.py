@@ -149,14 +149,9 @@ class CentralizedQueueScheduler(Scheduler):
     # Queue discipline -------------------------------------------------------
 
     def push(self, task: Task) -> None:
-        """Add a task to the global queue (default: append to the tail)."""
+        """Re-queue a task at the tail of the global queue."""
         task.mark_queued()
         self.queue.append(task)
-
-    def push_front(self, task: Task) -> None:
-        """Add a task to the head of the global queue."""
-        task.mark_queued()
-        self.queue.appendleft(task)
 
     def pop_next(self) -> Optional[Task]:
         """Remove and return the next task to run (default: FIFO head)."""
@@ -203,7 +198,8 @@ class CentralizedQueueScheduler(Scheduler):
             self.sim.start_task(task, core)
             self.on_task_started(task, core)
         else:
-            self.push(task)
+            # The event loop (or the cluster node) marked the arrival queued.
+            self.queue.append(task)
 
     def on_task_finished(self, task: Task, core: Core) -> None:
         self.dispatch(core)

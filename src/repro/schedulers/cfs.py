@@ -12,7 +12,7 @@ out run-queue lengths, mimicking the scheduler domains' rebalance tick.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.schedulers.base import Scheduler
 from repro.simulation.cpu import Core
@@ -92,8 +92,7 @@ class CFSScheduler(Scheduler):
         ]
         if len(cores) < 2:
             return
-        busiest = max(cores, key=lambda c: c.nr_running)
-        idlest = min(cores, key=lambda c: c.nr_running)
+        busiest, idlest = busiest_and_idlest(cores)
         if busiest.nr_running - idlest.nr_running < self.balance_threshold:
             return
         # Migrate the task with the largest remaining work: it benefits most
@@ -106,3 +105,19 @@ class CFSScheduler(Scheduler):
         self.sim.stop_task(task, busiest, preempted=True)
         self.sim.start_task(task, idlest)
         self.tasks_migrated_by_balancer += 1
+
+
+def busiest_and_idlest(cores: Sequence[Core]) -> Tuple[Core, Core]:
+    """The cores with the most and the fewest runnable tasks, in one pass.
+
+    Ties go to the first such core, as with ``max``/``min(key=nr_running)``.
+    """
+    busiest = idlest = cores[0]
+    most = least = busiest.nr_running
+    for core in cores:
+        nr = core.nr_running
+        if nr > most:
+            busiest, most = core, nr
+        elif nr < least:
+            idlest, least = core, nr
+    return busiest, idlest

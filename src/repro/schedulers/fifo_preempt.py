@@ -11,7 +11,7 @@ from typing import Dict, Optional
 
 from repro.schedulers.base import CentralizedQueueScheduler
 from repro.simulation.cpu import Core
-from repro.simulation.events import EventHandle
+from repro.simulation.events import Event
 from repro.simulation.task import Task
 
 
@@ -29,7 +29,7 @@ class FIFOPreemptScheduler(CentralizedQueueScheduler):
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum!r}")
         self.quantum = quantum
-        self._timers: Dict[int, EventHandle] = {}
+        self._timers: Dict[int, Event] = {}
 
     def describe(self) -> str:
         return f"FIFO with {self.quantum * 1000:.0f} ms preemption"
@@ -38,14 +38,6 @@ class FIFOPreemptScheduler(CentralizedQueueScheduler):
 
     def on_task_started(self, task: Task, core: Core) -> None:
         self._arm_timer(task, core)
-
-    def on_task_arrival(self, task: Task) -> None:
-        core = self.first_idle_core(self.default_group())
-        if core is not None:
-            self.sim.start_task(task, core)
-            self.on_task_started(task, core)
-        else:
-            self.push(task)
 
     def on_task_finished(self, task: Task, core: Core) -> None:
         self._disarm_timer(task)

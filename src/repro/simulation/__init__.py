@@ -25,7 +25,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.context_switch import ContextSwitchModel
 from repro.simulation.cpu import Core, CoreMode
 from repro.simulation.engine import Simulator
-from repro.simulation.events import Event, EventQueue, EventHandle
+from repro.simulation.events import Event, EventQueue
 from repro.simulation.machine import CoreGroup, Machine
 from repro.simulation.metrics import MetricsCollector, TaskMetricsSummary, UtilizationSample
 from repro.simulation.results import SimulationResult
@@ -40,7 +40,6 @@ __all__ = [
     "Simulator",
     "Event",
     "EventQueue",
-    "EventHandle",
     "CoreGroup",
     "Machine",
     "MetricsCollector",

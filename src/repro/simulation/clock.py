@@ -1,9 +1,8 @@
 """Virtual clock used by the discrete-event engine.
 
-All simulation times are expressed in *seconds* as floats.  The clock is a
-thin wrapper around a float so that components holding a reference to it
-always observe the current simulation time without the engine having to push
-updates into every object.
+All simulation times are expressed in *seconds* as floats.  The clock is one
+slot, ``now``: components holding a reference to it always observe the
+current time, and reading it is a plain attribute load, not a call.
 """
 
 from __future__ import annotations
@@ -17,21 +16,17 @@ TIME_EPSILON = 1e-9
 class VirtualClock:
     """Monotonically non-decreasing simulation clock.
 
-    The engine is the only writer; every other component should treat the
-    clock as read-only and query :attr:`now`.
+    The engine is the only writer, through :meth:`advance_to` and
+    :meth:`reset`; every other component treats :attr:`now` as read-only.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError(f"clock cannot start at a negative time: {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+        #: Current simulation time in seconds.
+        self.now = float(start)
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time``.
@@ -40,21 +35,21 @@ class VirtualClock:
             ValueError: if ``time`` would move the clock backwards by more
                 than :data:`TIME_EPSILON`.
         """
-        if time < self._now - TIME_EPSILON:
+        if time < self.now - TIME_EPSILON:
             raise ValueError(
-                f"clock cannot move backwards: now={self._now!r}, requested={time!r}"
+                f"clock cannot move backwards: now={self.now!r}, requested={time!r}"
             )
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock, typically between independent simulation runs."""
         if start < 0:
             raise ValueError(f"clock cannot reset to a negative time: {start}")
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.6f})"
+        return f"VirtualClock(now={self.now:.6f})"
 
 
 def times_equal(a: float, b: float, epsilon: float = TIME_EPSILON) -> bool:

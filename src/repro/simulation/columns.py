@@ -27,10 +27,14 @@ from typing import DefaultDict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.simulation.task import TaskState
+
 #: Sentinel for "task never ran on a core" in the ``last_core`` column.
 NO_CORE = -1
 #: Sentinel for "finished on a standalone machine" in the ``node_id`` column.
 NO_NODE = -1
+
+_FINISHED = TaskState.FINISHED
 
 #: One row per finished task.  Times are seconds on the simulation clock.
 TASK_COLUMNS_DTYPE = np.dtype(
@@ -89,7 +93,7 @@ class TaskColumns:
 
     def append(self, task, node_id: int = NO_NODE) -> None:
         """Record one finished task, tagged with the node it finished on."""
-        if not task.is_finished:
+        if task.state is not _FINISHED:
             raise ValueError(f"task {task.task_id} is not finished")
         last_core = task.last_core
         self._pending.append(
@@ -276,7 +280,7 @@ class ReservoirTaskColumns(TaskColumns):
         self._node_totals: DefaultDict[int, _Totals] = defaultdict(_Totals)
 
     def append(self, task, node_id: int = NO_NODE) -> None:
-        if not task.is_finished:
+        if task.state is not _FINISHED:
             raise ValueError(f"task {task.task_id} is not finished")
         arrival = task.arrival_time
         first_run = task.first_run_time

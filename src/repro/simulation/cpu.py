@@ -110,6 +110,7 @@ class Core:
         "_total_weight",
         "_rate",
         "_switch_rate",
+        "_rates_by_count",
         "_vstart",
         "_entries",
         "_finish_heap",
@@ -153,10 +154,12 @@ class Core:
         #: current task set; recomputed only when that set changes.
         self._rate = 0.0
         self._switch_rate = 0.0
+        #: Context-switch model's (efficiency, switch rate) per task count.
+        self._rates_by_count: Dict[int, Tuple[float, float]] = {}
         #: Attained-counter value at each task's last materialization.
         self._vstart: Dict[int, float] = {}
-        #: Live heap entry per task id: (virtual finish point, sequence).
-        self._entries: Dict[int, Tuple[float, int]] = {}
+        #: Sequence number of each task's live heap entry (others are stale).
+        self._entries: Dict[int, int] = {}
         #: Min-heap of (virtual finish, sequence, task id); lazily invalidated.
         self._finish_heap: List[Tuple[float, int, int]] = []
         self._entry_seq = 0
@@ -209,32 +212,28 @@ class Core:
         rate = self._rate
         if rate <= 0.0:
             return None
-        vfinish = self._peek_min_vfinish()
-        if vfinish is None:
-            return None
-        return max(vfinish - self._attained, 0.0) / rate
+        heap = self._finish_heap
+        entries = self._entries
+        while heap:  # peek the smallest live virtual finish point
+            vfinish, seq, task_id = heap[0]
+            if entries.get(task_id) != seq:
+                heapq.heappop(heap)
+                continue
+            ahead = vfinish - self._attained
+            return (0.0 if ahead < 0.0 else ahead) / rate
+        return None
 
     # ------------------------------------------------- virtual-time plumbing
 
     def _push_entry(self, task: Task) -> None:
         """(Re-)key ``task``'s virtual finish point in the completion heap."""
-        self._entry_seq += 1
-        vfinish = self._attained + task._remaining / task.weight
-        entry = (vfinish, self._entry_seq)
-        self._entries[task.task_id] = entry
-        heapq.heappush(self._finish_heap, (vfinish, self._entry_seq, task.task_id))
-
-    def _peek_min_vfinish(self) -> Optional[float]:
-        """Smallest live virtual finish point, discarding stale heap entries."""
-        heap = self._finish_heap
-        entries = self._entries
-        while heap:
-            vfinish, seq, task_id = heap[0]
-            if entries.get(task_id) != (vfinish, seq):
-                heapq.heappop(heap)
-                continue
-            return vfinish
-        return None
+        seq = self._entry_seq = self._entry_seq + 1
+        task_id = task.task_id
+        self._entries[task_id] = seq
+        heapq.heappush(
+            self._finish_heap,
+            (self._attained + task._remaining / task.weight, seq, task_id),
+        )
 
     def materialize(self, task: Task) -> float:
         """Fold attained service into ``task``'s concrete fields; return remaining.
@@ -305,9 +304,14 @@ class Core:
     def _rates_changed(self) -> None:
         """Cache the rates of the current, non-empty task set."""
         n = len(self._tasks)
-        model = self._cs_model
-        self._rate = self.speed * model.efficiency(n) / self._total_weight
-        self._switch_rate = model.switch_rate(n)
+        try:
+            efficiency, self._switch_rate = self._rates_by_count[n]
+        except KeyError:
+            model = self._cs_model
+            efficiency = model.efficiency(n)
+            self._switch_rate = model.switch_rate(n)
+            self._rates_by_count[n] = (efficiency, self._switch_rate)
+        self._rate = self.speed * efficiency / self._total_weight
 
     # ------------------------------------------------------------- progression
 
@@ -325,7 +329,8 @@ class Core:
                 f"last={self._last_update!r}, now={now!r}"
             )
         if elapsed <= 0:
-            self._last_update = max(self._last_update, now)
+            if now > self._last_update:
+                self._last_update = now
             return
         if self._tasks:
             delivered = self._rate * elapsed  # service per unit weight
@@ -354,14 +359,13 @@ class Core:
         self._attained = 0.0
         for task_id in self._vstart:
             self._vstart[task_id] -= base
-        entries: Dict[int, Tuple[float, int]] = {}
-        heap: List[Tuple[float, int, int]] = []
-        for task_id, (vfinish, seq) in self._entries.items():
-            shifted = vfinish - base
-            entries[task_id] = (shifted, seq)
-            heap.append((shifted, seq, task_id))
+        entries = self._entries
+        heap = [
+            (vfinish - base, seq, task_id)
+            for vfinish, seq, task_id in self._finish_heap
+            if entries.get(task_id) == seq
+        ]
         heapq.heapify(heap)
-        self._entries = entries
         self._finish_heap = heap
 
     def materialize_all(self) -> None:
@@ -424,30 +428,29 @@ class Core:
         threshold = self._attained + REMAINING_EPSILON
         heap = self._finish_heap
         entries = self._entries
-        ready_ids: List[int] = []
+        tasks = self._tasks
+        finished: list[Task] = []
         while heap:
             vfinish, seq, task_id = heap[0]
-            if entries.get(task_id) != (vfinish, seq):
+            if entries.get(task_id) != seq:
                 heapq.heappop(heap)
                 continue
             if vfinish > threshold:
                 break
             heapq.heappop(heap)
-            ready_ids.append(task_id)
-        if not ready_ids:
-            return []
-        if len(ready_ids) > 1:
+            finished.append(tasks[task_id])
+        if not finished:
+            return finished
+        count = len(finished)
+        if count > 1:
             # Preserve the eager model's completion order: assignment order.
-            ready = set(ready_ids)
-            ready_ids = [tid for tid in self._tasks if tid in ready]
-        finished: list[Task] = []
-        for task_id in ready_ids:
-            task = self._tasks[task_id]
+            ready = {task.task_id for task in finished}
+            finished = [task for task_id, task in tasks.items() if task_id in ready]
+        for task in finished:
             self.materialize(task)
             self._detach(task)
             task.mark_finished(now)
-            self.stats.tasks_completed += 1
-            finished.append(task)
+        self.stats.tasks_completed += count
         self._load_listener(self)
         return finished
 
@@ -483,7 +486,10 @@ class Core:
         """Utilization over a window given a previous ``busy_time`` snapshot."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
-        return max(0.0, min(1.0, (self.stats.busy_time - busy_snapshot) / window))
+        # max(0.0, min(1.0, x)) without the two builtin calls (per core-sample).
+        utilization = (self.stats.busy_time - busy_snapshot) / window
+        utilization = utilization if utilization < 1.0 else 1.0
+        return utilization if utilization > 0.0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

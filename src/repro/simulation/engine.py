@@ -3,7 +3,8 @@
 Two pieces make up every simulator in this package:
 
 * :class:`EventLoop` — the clock, the event queue, the arrival feed and the
-  batched drain loop.  The standalone :class:`Simulator` and the fleet's
+  drain loop, which makes one :meth:`~repro.simulation.events.EventQueue.pop`
+  call per event.  The standalone :class:`Simulator` and the fleet's
   :class:`~repro.cluster.simulator.ClusterSimulator` both run on it.
 * :class:`MachineEngine` — one machine and its scheduler on some loop.
   Schedulers never touch cores directly — they start, stop and migrate tasks
@@ -30,12 +31,7 @@ from repro.simulation.clock import VirtualClock
 from repro.simulation.columns import NO_NODE, TaskColumns, build_columns_store
 from repro.simulation.config import SimulationConfig
 from repro.simulation.cpu import Core
-from repro.simulation.events import (
-    STREAM_SEQ_BASE,
-    EventHandle,
-    EventPriority,
-    EventQueue,
-)
+from repro.simulation.events import STREAM_SEQ_BASE, Event, EventPriority, EventQueue
 from repro.simulation.hooks import HookBus
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import MetricsCollector, record_series
@@ -56,8 +52,8 @@ class SimulationError(RuntimeError):
 
 
 class EventLoop:
-    """Clock, event queue, arrival feed, batched drain loop, and the run's
-    one finished-task store and one hook bus.
+    """Clock, event queue, arrival feed, drain loop, and the run's one
+    finished-task store and one hook bus.
 
     Subclasses route events and name the machines the loop drives:
 
@@ -222,39 +218,33 @@ class EventLoop:
     def _drain(self, limit: Optional[float]) -> None:
         """Pop and dispatch events until the work is done or ``limit`` passes."""
         events = self.events
+        pop = events.pop
         clock = self.clock
         dispatch = self._dispatch_tagged
+        now = clock.now
         processed = 0
-        done = False
-        while not done:
-            next_time = events.peek_time()
-            if next_time is None:
+        # One pop per event, in (time, priority, seq) order; the clock moves
+        # only when the timestamp changes.
+        while True:
+            event = pop(limit)
+            if event is None:
+                if limit is not None and len(events):
+                    # Live events remain, all past the limit.
+                    clock.advance_to(limit)
                 break
-            if limit is not None and next_time > limit:
-                clock.advance_to(limit)
+            processed += 1
+            time = event.time
+            if time > now:
+                clock.now = now = time
+            elif time < now:
+                clock.advance_to(time)  # raises if it moves back past epsilon
+            callback = event.callback
+            if callback is not None:
+                callback()
+            else:
+                dispatch(event)
+            if self._unfinished == 0 and self._pending_arrivals == 0:
                 break
-            clock.advance_to(next_time)
-            # Batched draining: every event sharing this timestamp (including
-            # ones pushed *at* it by the handlers below) is dispatched in one
-            # loop iteration, paying the clock advance and limit check once.
-            # Events are still popped strictly in (time, priority, seq)
-            # order, so results are bit-identical to one-at-a-time draining.
-            while True:
-                event = events.pop()
-                if event is None:
-                    done = True
-                    break
-                processed += 1
-                callback = event.callback
-                if callback is not None:
-                    callback()
-                else:
-                    dispatch(event)
-                if self._unfinished == 0 and self._pending_arrivals == 0:
-                    done = True
-                    break
-                if events.peek_time() != next_time:
-                    break
         self._events_processed += processed
 
     # ---------------------------------------------------- run prologue/epilogue
@@ -373,79 +363,89 @@ class MachineEngine:
 
     def schedule_at(
         self, time: float, callback, tag: str = "timer"
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule a callback at an absolute simulation time."""
-        if time < self.now:
+        now = self.clock.now
+        if time < now:
             raise ValueError(
-                f"cannot schedule an event in the past: now={self.now}, requested={time}"
+                f"cannot schedule an event in the past: now={now}, requested={time}"
             )
         return self.events.push(time, callback, priority=EventPriority.TIMER, tag=tag)
 
-    def schedule_timer(self, delay: float, callback, tag: str = "timer") -> EventHandle:
+    def schedule_timer(self, delay: float, callback, tag: str = "timer") -> Event:
         """Schedule a callback ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"timer delay must be >= 0, got {delay!r}")
-        return self.schedule_at(self.now + delay, callback, tag=tag)
+        return self.schedule_at(self.clock.now + delay, callback, tag=tag)
 
     def record_series(self, name: str, value: float) -> None:
         """Record one point of a named time series at the current time."""
         record_series(
-            self.collector.series, name, self.now, value, self.loop.telemetry
+            self.collector.series, name, self.clock.now, value, self.loop.telemetry
         )
 
     # ----------------------------------------------------- task/core plumbing
 
     def start_task(self, task: Task, core: Core) -> None:
         """Begin (or resume) executing ``task`` on ``core``."""
+        now = self.clock.now
         for hook in self.hooks.task_started:
-            hook(self, task, core, self.now)
-        core.add_task(task, self.now)
-        self._reschedule_completion(core)
+            hook(self, task, core, now)
+        core.add_task(task, now)
+        self._reschedule_completion(core, now)
 
     def stop_task(self, task: Task, core: Core, *, preempted: bool = True) -> Task:
         """Remove ``task`` from ``core`` (involuntarily unless stated otherwise)."""
-        removed = core.remove_task(task, self.now, preempted=preempted)
-        self._reschedule_completion(core)
+        now = self.clock.now
+        removed = core.remove_task(task, now, preempted=preempted)
+        self._reschedule_completion(core, now)
         for hook in self.hooks.task_stopped:
-            hook(self, task, preempted, self.now)
+            hook(self, task, preempted, now)
         return removed
 
     def drain_core(self, core: Core) -> List[Task]:
         """Preempt and return every task on ``core`` (core-migration protocol)."""
-        drained = core.drain(self.now)
-        self._reschedule_completion(core)
+        now = self.clock.now
+        drained = core.drain(now)
+        self._reschedule_completion(core, now)
         for task in drained:
             for hook in self.hooks.task_stopped:
-                hook(self, task, True, self.now)
+                hook(self, task, True, now)
         return drained
 
     # ----------------------------------------------------------- event logic
 
     def _handle_completion(self, core: Core) -> List[Task]:
         """Finish ``core``'s ready tasks, record each once; returns them."""
+        now = self.clock.now
         core._completion_handle = None
-        finished = core.finish_ready_tasks(self.now)
-        self._reschedule_completion(core)
+        finished = core.finish_ready_tasks(now)
+        if core._tasks:
+            # A core that just emptied has no completion to schedule.
+            self._reschedule_completion(core, now)
         hooks = self.hooks.task_finished
-        columns = self.loop.columns
+        append = self.loop.columns.append
         node_id = self.node_id
+        on_task_finished = self.scheduler.on_task_finished
         for task in finished:
             self._unfinished -= 1
             for hook in hooks:
-                hook(self, task, self.now)
-            columns.append(task, node_id)
-            self.scheduler.on_task_finished(task, core)
+                hook(self, task, now)
+            append(task, node_id)
+            on_task_finished(task, core)
         return finished
 
-    def _reschedule_completion(self, core: Core) -> None:
-        if core._completion_handle is not None:
-            core._completion_handle.cancel()
+    def _reschedule_completion(self, core: Core, now: float) -> None:
+        """Replace ``core``'s pending completion event with its next one."""
+        handle = core._completion_handle
+        if handle is not None:
+            handle.cancel()
             core._completion_handle = None
         delta = core.time_to_next_completion()
         if delta is None:
             return
         core._completion_handle = self.events.push(
-            self.now + delta,
+            now + delta,
             None,
             priority=EventPriority.COMPLETION,
             tag=COMPLETION_TAG,
@@ -477,11 +477,12 @@ class Simulator(EventLoop, MachineEngine):
 
     def _on_arrival(self, task: Task) -> None:
         task.mark_queued()
+        now = self.clock.now
         hooks = self.hooks
         for hook in hooks.task_arrived:
-            hook(task, self.now)
+            hook(task, now)
         for hook in hooks.task_queued:
-            hook(self, task, self.now)
+            hook(self, task, now)
         self.scheduler.on_task_arrival(task)
 
     def run(self, until: Optional[float] = None) -> SimulationResult:

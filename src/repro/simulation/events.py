@@ -3,27 +3,29 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence number
 guarantees a deterministic FIFO order for events scheduled at the same time
 with the same priority, which keeps simulation runs fully reproducible.
+Each heap entry is the flat tuple ``(time, priority, seq, event)``: the
+sequence number is unique, so tuple comparison never reaches the event.
 
-Cancellation is *lazy*: a cancelled event stays in the heap but is skipped
-when popped.  This keeps cancellation O(1), which matters because timer-heavy
-policies (FIFO with a preemption limit sets one timer per task) cancel the
-vast majority of their timers.  A live-event counter maintained on
-push/pop/cancel/clear makes ``len(queue)`` O(1) despite the lazy tombstones.
+:meth:`EventQueue.push` returns the :class:`Event` itself, which is its own
+cancel handle.  Cancellation is *lazy*: a cancelled event stays in the heap
+but is skipped when popped.  This keeps cancellation O(1), which matters
+because timer-heavy policies (FIFO with a preemption limit sets one timer
+per task) cancel the vast majority of their timers.  A live-event counter
+maintained on push/pop/cancel/clear makes ``len(queue)`` O(1) despite the
+lazy tombstones, and the heap is compacted once tombstones outnumber live
+events.
 
 The hottest push sites (task arrivals, core completions) schedule
 *payload-carrying* events with no callback: the run loop dispatches them by
-``tag``, which avoids allocating one closure per push.
+``tag``, which avoids allocating one closure per push.  The run loop drains
+with one :meth:`EventQueue.pop` call per event, passing its time limit.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Optional
-
-from repro.simulation.task import DATACLASS_KWARGS
 
 #: Base of the sequence-number range reserved for streamed arrivals.  The
 #: internal counter starts at 0, so arrivals fed mid-run with sequence
@@ -53,85 +55,62 @@ class EventPriority(IntEnum):
     TIMER = 3
 
 
-@dataclass(**DATACLASS_KWARGS)
 class Event:
-    """A single scheduled callback, or a tagged payload dispatched by the
-    run loop when ``callback`` is None."""
+    """A scheduled callback, or a tagged payload dispatched by the run loop
+    when ``callback`` is None.  :meth:`EventQueue.push` returns the event,
+    which is its own cancel handle."""
 
-    time: float
-    priority: EventPriority
-    seq: int
-    callback: Optional[Callable[[], None]]
-    tag: str = ""
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
-    #: Set once the event has been popped (fired); a late cancel() is a no-op.
-    popped: bool = field(default=False, compare=False)
+    __slots__ = (
+        "time", "priority", "seq", "callback", "tag", "payload", "cancelled", "_queue"
+    )
 
-    def sort_key(self) -> tuple:
-        return (self.time, int(self.priority), self.seq)
-
-
-class EventHandle:
-    """Handle returned by :meth:`EventQueue.push`, used to cancel the event."""
-
-    __slots__ = ("_event", "_queue")
-
-    def __init__(self, event: Event, queue: "EventQueue") -> None:
-        self._event = event
+    def __init__(self, time, priority, seq, callback, tag, payload, queue) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.tag = tag
+        self.payload = payload
+        self.cancelled = False
+        #: The queue holding the event; None once it has been popped (fired).
         self._queue = queue
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def tag(self) -> str:
-        return self._event.tag
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
     def cancel(self) -> None:
-        """Mark the underlying event as cancelled (idempotent).
+        """Mark the event cancelled (idempotent).
 
         Cancelling an event that already fired is a no-op — it must not
         disturb the queue's live-event count.
         """
-        event = self._event
-        if not event.cancelled and not event.popped:
-            event.cancelled = True
-            queue = self._queue
-            queue._live -= 1
-            heap_len = len(queue._heap)
-            if heap_len >= _COMPACT_MIN_HEAP and heap_len - queue._live > queue._live:
-                queue._compact()
+        queue = self._queue
+        if self.cancelled or queue is None:
+            return
+        self.cancelled = True
+        live = queue._live = queue._live - 1
+        heap_len = len(queue._heap)
+        if heap_len >= _COMPACT_MIN_HEAP and heap_len - live > live:
+            queue._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, tag={self.tag!r}, {state})"
+        state = "pending" if self._queue is not None else "fired"
+        state = "cancelled" if self.cancelled else state
+        return f"Event(t={self.time:.6f}, tag={self.tag!r}, {state})"
 
 
 class EventQueue:
     """Binary-heap event queue with lazy cancellation and an O(1) length."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple, Event]] = []
-        self._counter = itertools.count()
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._seq = 0
         self._live = 0
-        #: How many times the heap was rebuilt to drop cancelled tombstones.
-        #: Cancellation stays lazy/O(1), but once tombstones outnumber live
-        #: events (timer-heavy schedulers, chaos arms, timeout retries over
-        #: long streaming runs) the heap is compacted so it tracks the live
-        #: horizon instead of the cancellation history.
+        #: How many times the heap was rebuilt to drop cancelled tombstones
+        #: (once they outnumber live events: timer-heavy schedulers, chaos
+        #: arms, timeout retries), so it tracks the live horizon instead of
+        #: the cancellation history.
         self.compactions = 0
 
     def __len__(self) -> int:
         return self._live
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
 
     def push(
         self,
@@ -140,25 +119,21 @@ class EventQueue:
         priority: EventPriority = EventPriority.CONTROL,
         tag: str = "",
         payload: Any = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``.
 
         ``callback`` may be None for payload-carrying events that the run
-        loop dispatches by ``tag`` (the closure-free hot path).
+        loop dispatches by ``tag`` (the closure-free hot path).  Returns the
+        event, whose :meth:`Event.cancel` withdraws it.
         """
         if time < 0:
             raise ValueError(f"cannot schedule an event at negative time {time!r}")
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            callback=callback,
-            tag=tag,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, priority, seq, callback, tag, payload, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
     def push_sequenced(
         self,
@@ -167,7 +142,7 @@ class EventQueue:
         priority: EventPriority = EventPriority.ARRIVAL,
         tag: str = "",
         payload: Any = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule a payload event with a caller-chosen sequence number.
 
         Streaming arrival feeds draw ``seq`` from a counter starting at
@@ -184,59 +159,61 @@ class EventQueue:
             raise ValueError(
                 f"caller-chosen sequence numbers must be negative, got {seq!r}"
             )
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=seq,
-            callback=None,
-            tag=tag,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        event = Event(time, priority, seq, None, tag, payload, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or None if the queue is empty."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
+    def pop(self, limit: Optional[float] = None) -> Optional[Event]:
+        """Pop the earliest live event; None when there is none, or when the
+        earliest is later than ``limit`` (it stays queued)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
+                heapq.heappop(heap)
                 continue
-            event.popped = True
+            if limit is not None and entry[0] > limit:
+                return None
+            heapq.heappop(heap)
+            event._queue = None
             self._live -= 1
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event without popping it."""
-        while self._heap:
-            _, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3].cancelled:
+                heapq.heappop(heap)
                 continue
-            return event.time
+            return entry[0]
         return None
 
     def cancel_pending(self, tag: str) -> int:
         """Cancel every pending event with the given tag; returns the count."""
         cancelled = 0
-        for _, event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             if not event.cancelled and event.tag == tag:
                 event.cancelled = True
                 cancelled += 1
-        self._live -= cancelled
+        live = self._live = self._live - cancelled
         heap_len = len(self._heap)
-        if heap_len >= _COMPACT_MIN_HEAP and heap_len - self._live > self._live:
+        if heap_len >= _COMPACT_MIN_HEAP and heap_len - live > live:
             self._compact()
         return cancelled
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled tombstones.
 
-        ``heapify`` over the surviving ``(sort_key, event)`` pairs preserves
-        the exact pop order, so compaction is invisible to the simulation.
+        ``heapify`` over the surviving entries preserves the exact pop order
+        (keys are unique), so compaction is invisible to the simulation.
         """
-        self._heap = [entry for entry in self._heap if not entry[1].cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self.compactions += 1
 
@@ -246,11 +223,11 @@ class EventQueue:
         Cleared events are marked cancelled so outstanding handles no-op
         instead of corrupting the live-event counter.
         """
-        for _, event in self._heap:
-            event.cancelled = True
+        for entry in self._heap:
+            entry[3].cancelled = True
         self._heap.clear()
         self._live = 0
 
     def drain_times(self) -> list[float]:
         """Return the sorted timestamps of all live events (testing helper)."""
-        return sorted(e.time for _, e in self._heap if not e.cancelled)
+        return sorted(entry[0] for entry in self._heap if not entry[3].cancelled)

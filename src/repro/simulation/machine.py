@@ -109,10 +109,8 @@ class Machine:
         self._track_global_heap = False
         #: Version stamp per core; heap entries with an older stamp are stale.
         self._load_version: Dict[int, int] = {}
-        #: Last observed (nr_running, locked) per core, to compute deltas.
-        self._observed: Dict[int, Tuple[int, bool]] = {}
-        self._running_by_group: Dict[str, int] = {name: 0 for name in group_sizes}
-        self._running_total = 0
+        #: Last observed (nr_running, locked), indexed by core id.
+        self._observed: List[Tuple[int, bool]] = []
         self._busy_count = 0
 
         core_id = 0
@@ -131,6 +129,9 @@ class Machine:
                 self.groups[name].add(core_id)
                 self._register_core(core)
                 core_id += 1
+        #: A load heap is rebuilt once it holds this many entries: stale
+        #: entries below the top are never popped, so this bounds its size.
+        self._heap_cap = max(16, 4 * len(self.cores))
 
     def _register_core(self, core: Core) -> None:
         cid = core.core_id
@@ -138,7 +139,7 @@ class Machine:
         self._idle_ids[core.group].add(cid)
         self._idle_all.add(cid)
         self._load_version[cid] = 0
-        self._observed[cid] = (0, False)
+        self._observed.append((0, False))  # cores register in id order
         core._load_listener = self._core_load_changed
 
     # ----------------------------------------------------------- index upkeep
@@ -153,11 +154,6 @@ class Machine:
             return
         self._observed[cid] = (nr, locked)
         group = core.group
-
-        delta = nr - prev_nr
-        if delta:
-            self._running_by_group[group] += delta
-            self._running_total += delta
 
         idle_now = nr == 0 and not locked
         idle_before = prev_nr == 0 and not prev_locked
@@ -178,15 +174,14 @@ class Machine:
                 entry = (nr, cid, version)
                 if group in self._heap_groups:
                     heap = self._load_heaps[group]
-                    if len(heap) > max(16, 4 * len(self._sorted_ids[group])):
-                        # Compact: stale entries below the top are never popped.
-                        heap = self._load_heaps[group] = self._build_heap(
+                    if len(heap) > self._heap_cap:
+                        self._load_heaps[group] = self._build_heap(
                             self.group_cores(group)
                         )
                     else:
                         heapq.heappush(heap, entry)
                 if self._track_global_heap:
-                    if len(self._load_heap_all) > max(16, 4 * len(self.cores)):
+                    if len(self._load_heap_all) > self._heap_cap:
                         self._load_heap_all = self._build_heap(self.cores)
                     else:
                         heapq.heappush(self._load_heap_all, entry)
@@ -294,10 +289,9 @@ class Machine:
         return self._least_loaded_from(self._load_heap_all, None)
 
     def total_running(self, group: Optional[str] = None) -> int:
-        if group is not None:
-            self.group(group)
-            return self._running_by_group[group]
-        return self._running_total
+        """Runnable tasks on the group's cores (or on every core)."""
+        cores = self.group_cores(group) if group is not None else self.cores
+        return sum(core.nr_running for core in cores)
 
     def sync_all(self, now: float, group: Optional[str] = None) -> None:
         """Bring every core's service accounting up to ``now``."""
@@ -348,22 +342,18 @@ class Machine:
         destination.add(core_id)
         core = self.core(core_id)
         core.change_group(to_group, mode=mode)
-        # Reindex: sorted membership, idle sets, running counters, and a
-        # fresh heap entry under the new group (version bump invalidates
-        # every entry filed under the old group).
+        # Reindex: sorted membership, idle sets, and a fresh heap entry
+        # under the new group (version bump invalidates every entry filed
+        # under the old group).
         self._sorted_ids[from_group].remove(core_id)
         insort(self._sorted_ids[to_group], core_id)
         if core_id in self._idle_ids[from_group]:
             self._idle_ids[from_group].discard(core_id)
             self._idle_ids[to_group].add(core_id)
-        nr = core.nr_running
-        if nr:
-            self._running_by_group[from_group] -= nr
-            self._running_by_group[to_group] += nr
         version = self._load_version[core_id] + 1
         self._load_version[core_id] = version
         if not core.locked:
-            entry = (nr, core_id, version)
+            entry = (core.nr_running, core_id, version)
             if to_group in self._heap_groups:
                 heapq.heappush(self._load_heaps[to_group], entry)
             if self._track_global_heap:
@@ -377,7 +367,6 @@ class Machine:
             self._sorted_ids[name] = []
             self._idle_ids[name] = set()
             self._load_heaps[name] = []
-            self._running_by_group[name] = 0
         return self.groups[name]
 
     def group_sizes(self) -> Dict[str, int]:

@@ -157,13 +157,13 @@ class Task:
         self.state = TaskState.PREEMPTED
 
     def mark_finished(self, now: float) -> None:
-        """Record task completion."""
+        """Record task completion (the core has already detached the task)."""
         if self.first_run_time is None:
             raise RuntimeError(
                 f"task {self.task_id} completed at {now} without ever running"
             )
         self.completion_time = now
-        self.remaining = 0.0
+        self._remaining = 0.0
         self.state = TaskState.FINISHED
 
     def account_service(self, amount: float) -> None:

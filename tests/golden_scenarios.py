@@ -23,13 +23,20 @@ before the hybrid scheduler stopped routing through an emulated enclave);
 the suite in ``test_golden_equivalence.py`` asserts the rewritten engine
 reproduces those numbers within 1e-9.
 
+``tests/golden/golden_columns.json`` holds, per scenario, the SHA-256 of
+its finished-task columns (``task_columns().data.tobytes()``), captured at
+commit ``c2d0c5c`` before the event-loop hot path was rewritten: a run
+matches it only when every finished task's row is bit-identical.
+
 Regenerate (only when intentionally changing simulation semantics) with::
 
     PYTHONPATH=src python tests/golden_scenarios.py --capture
+    PYTHONPATH=src python tests/golden_scenarios.py --capture-columns
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -50,6 +57,7 @@ from repro.simulation.metrics import TaskMetricsSummary
 from repro.simulation.task import Task
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_metrics.json")
+COLUMNS_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_columns.json")
 
 #: Absolute/relative tolerance required by the equivalence suite.
 TOLERANCE = 1e-9
@@ -80,37 +88,29 @@ def _high_mp_tasks(count: int = 320, seed: int = 1234) -> list:
     ]
 
 
-def scenario_cfs_high_mp() -> Dict[str, float]:
-    result = simulate(
+def run_cfs_high_mp():
+    return simulate(
         CFSScheduler(),
         _high_mp_tasks(),
         config=SimulationConfig(num_cores=4, record_utilization=False),
     )
-    return _machine_metrics(result)
 
 
-def scenario_hybrid_fig12() -> Dict[str, float]:
-    result = simulate(
-        HybridScheduler(paper_hybrid_config()), two_minute_workload(0.2)
-    )
-    return _machine_metrics(result)
+def run_hybrid_fig12():
+    return simulate(HybridScheduler(paper_hybrid_config()), two_minute_workload(0.2))
 
 
-def scenario_hybrid_rightsizing() -> Dict[str, float]:
+def _rightsizing_run():
     config = (
         paper_hybrid_config()
         .with_adaptive_limit(95, window=100)
         .with_rightsizing(True)
     )
     scheduler = HybridScheduler(config)
-    result = simulate(scheduler, two_minute_workload(0.2))
-    metrics = _machine_metrics(result)
-    metrics["core_migrations"] = float(scheduler.rightsizer.migration_count)
-    metrics["tasks_preempted_to_cfs"] = float(scheduler.tasks_preempted_to_cfs)
-    return metrics
+    return scheduler, simulate(scheduler, two_minute_workload(0.2))
 
 
-def scenario_hetero_cluster_stealing() -> Dict[str, float]:
+def run_hetero_cluster_stealing():
     config = ClusterConfig(
         node_specs=(
             NodeSpec(cores=24, count=2, label="big"),
@@ -120,7 +120,27 @@ def scenario_hetero_cluster_stealing() -> Dict[str, float]:
         dispatcher="jsq",
         migration="work_stealing",
     )
-    result = simulate_cluster(two_minute_workload(0.1), config=config)
+    return simulate_cluster(two_minute_workload(0.1), config=config)
+
+
+def scenario_cfs_high_mp() -> Dict[str, float]:
+    return _machine_metrics(run_cfs_high_mp())
+
+
+def scenario_hybrid_fig12() -> Dict[str, float]:
+    return _machine_metrics(run_hybrid_fig12())
+
+
+def scenario_hybrid_rightsizing() -> Dict[str, float]:
+    scheduler, result = _rightsizing_run()
+    metrics = _machine_metrics(result)
+    metrics["core_migrations"] = float(scheduler.rightsizer.migration_count)
+    metrics["tasks_preempted_to_cfs"] = float(scheduler.tasks_preempted_to_cfs)
+    return metrics
+
+
+def scenario_hetero_cluster_stealing() -> Dict[str, float]:
+    result = run_hetero_cluster_stealing()
     metrics = _summary_metrics(TaskMetricsSummary.from_tasks(result.tasks))
     metrics["tasks_migrated"] = float(result.tasks_migrated)
     metrics["simulated_time"] = float(result.simulated_time)
@@ -138,6 +158,24 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, float]]] = {
     "hetero_cluster_stealing": scenario_hetero_cluster_stealing,
     "hybrid_rightsizing": scenario_hybrid_rightsizing,
 }
+
+#: The same scenarios as runs whose finished-task columns are hashed.
+RUNS: Dict[str, Callable[[], object]] = {
+    "cfs_high_mp": run_cfs_high_mp,
+    "hybrid_fig12": run_hybrid_fig12,
+    "hetero_cluster_stealing": run_hetero_cluster_stealing,
+    "hybrid_rightsizing": lambda: _rightsizing_run()[1],
+}
+
+
+def columns_digest(result) -> str:
+    """SHA-256 of every finished-task row: equal only for bit-identical runs."""
+    return hashlib.sha256(result.task_columns().data.tobytes()).hexdigest()
+
+
+def load_golden_columns() -> Dict[str, str]:
+    with open(COLUMNS_PATH) as handle:
+        return json.load(handle)
 
 
 def load_golden() -> Dict[str, Dict[str, float]]:
@@ -159,13 +197,20 @@ def assert_close(
     assert not mismatches, f"{scenario}: metrics diverged:\n" + "\n".join(mismatches)
 
 
-def capture() -> None:
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    golden = {name: run() for name, run in SCENARIOS.items()}
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(golden, handle, indent=2, sort_keys=True)
+def _write(path: str, data: Dict[str, object]) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    print(f"wrote {path}")
+
+
+def capture() -> None:
+    _write(GOLDEN_PATH, {name: run() for name, run in SCENARIOS.items()})
+
+
+def capture_columns() -> None:
+    _write(COLUMNS_PATH, {name: columns_digest(run()) for name, run in RUNS.items()})
 
 
 if __name__ == "__main__":
@@ -173,6 +218,8 @@ if __name__ == "__main__":
 
     if "--capture" in sys.argv:
         capture()
+    elif "--capture-columns" in sys.argv:
+        capture_columns()
     else:
         for name, run in SCENARIOS.items():
             print(name, json.dumps(run(), indent=2, sort_keys=True))

@@ -129,6 +129,66 @@ class TestEventQueue:
         assert queue.drain_times() == [1.0, 3.0]
 
 
+class TestPopLimitAndHandles:
+    def test_push_returns_the_event_that_pops(self):
+        queue = EventQueue()
+        event = queue.push(1.0, None, tag="arrival", payload="task")
+        assert (event.time, event.tag, event.payload) == (1.0, "arrival", "task")
+        assert queue.pop() is event
+
+    def test_pop_limit_leaves_a_past_limit_event_queued(self):
+        queue = EventQueue()
+        queue.push(1.0, None, tag="due")
+        queue.push(3.0, None, tag="late")
+        assert queue.pop(2.0).tag == "due"
+        assert queue.pop(2.0) is None
+        assert len(queue) == 1
+        assert queue.peek_time() == 3.0
+        assert queue.pop(3.0).tag == "late"
+        assert queue.pop(3.0) is None
+        assert len(queue) == 0
+
+    def test_pop_limit_skips_cancelled_events_before_checking_the_limit(self):
+        queue = EventQueue()
+        queue.push(1.0, None, tag="cancelled").cancel()
+        queue.push(2.0, None, tag="due")
+        assert queue.pop(2.0).tag == "due"
+
+    def test_cancel_after_pop_leaves_len_unchanged(self):
+        queue = EventQueue()
+        event = queue.push(1.0, None)
+        queue.push(2.0, None)
+        assert queue.pop() is event
+        assert len(queue) == 1
+        event.cancel()
+        assert len(queue) == 1
+        assert not event.cancelled
+        assert queue.pop().time == 2.0
+
+    def test_cancel_after_clear_leaves_len_unchanged(self):
+        queue = EventQueue()
+        event = queue.push(1.0, None)
+        queue.clear()
+        event.cancel()
+        assert len(queue) == 0
+
+    def test_equal_time_and_priority_pop_in_seq_order(self):
+        queue = EventQueue()
+        pushed = [
+            queue.push(1.0, None, priority=EventPriority.ARRIVAL, tag=f"e{i}")
+            for i in range(50)
+        ]
+        streamed = [
+            queue.push_sequenced(
+                1.0, -(1 << 62) + i, priority=EventPriority.ARRIVAL, tag=f"s{i}"
+            )
+            for i in range(5)
+        ]
+        popped = list(iter(queue.pop, None))
+        assert popped == streamed + pushed
+        assert [e.seq for e in popped] == sorted(e.seq for e in popped)
+
+
 class TestTombstoneCompaction:
     def test_cancel_heavy_queue_compacts(self):
         queue = EventQueue()
@@ -180,6 +240,17 @@ class TestTombstoneCompaction:
         ]
         popped = [(e.time, e.tag) for e in iter(queue.pop, None)]
         assert popped == expected
+
+    def test_compaction_keeps_pop_order_between_limited_pops(self):
+        queue = EventQueue()
+        events = [queue.push(float(i // 4), None, tag=f"t{i}") for i in range(160)]
+        popped = [queue.pop(4.0) for _ in range(10)]
+        for event in events[10:140]:
+            event.cancel()
+        assert queue.compactions > 0
+        popped += list(iter(lambda: queue.pop(100.0), None))
+        assert popped == events[:10] + events[140:]
+        assert len(queue) == 0
 
     def test_double_cancel_does_not_skew_live_count(self):
         queue = EventQueue()

@@ -69,6 +69,9 @@ class TestQueries:
         machine.core(0).add_task(make_task(task_id=0), 0.0)
         machine.core(1).add_task(make_task(task_id=1), 0.0)
         assert machine.total_running() == 2
+        assert machine.total_running("all") == 2
+        machine.core(0).remove_task(machine.core(0).current_task, 1.0)
+        assert machine.total_running("all") == 1
 
 
 class TestCoreMoves:

@@ -232,3 +232,24 @@ def test_work_stealing_plan_invariants(queued, idle):
     for plan in plans:
         assert plan.target.is_active
         assert plan.task.first_run_time is None
+
+
+@given(loads=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_cfs_balance_pick_matches_max_and_min(loads):
+    """The one-pass busiest/idlest pick keeps max/min's first-wins tie-break."""
+    from repro.schedulers.cfs import busiest_and_idlest
+    from repro.simulation.cpu import Core
+
+    cores = []
+    task_id = 0
+    for core_id, running in enumerate(loads):
+        core = Core(core_id=core_id, group="all")
+        for _ in range(running):
+            task = Task(task_id=task_id, arrival_time=0.0, service_time=1.0)
+            core.add_task(task, 0.0)
+            task_id += 1
+        cores.append(core)
+    busiest, idlest = busiest_and_idlest(cores)
+    assert busiest is max(cores, key=lambda c: c.nr_running)
+    assert idlest is min(cores, key=lambda c: c.nr_running)

@@ -73,6 +73,25 @@ class TestSerialisation:
                 dispatcher_kwargs={"normalized": False},
             )
 
+    @pytest.mark.parametrize("seed", ["42", True, 4.2, 42.0])
+    def test_seed_must_be_an_integer(self, seed):
+        # A string seed used to seed a different RNG stream without a word.
+        with pytest.raises(TypeError, match="seed"):
+            Scenario.from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("num_cores", ["50", 50.0, True])
+    def test_num_cores_must_be_an_integer(self, num_cores):
+        # "50" used to fail with an unnamed "'<=' not supported" TypeError.
+        with pytest.raises(TypeError, match="num_cores"):
+            Scenario.from_dict({"num_cores": num_cores})
+
+    def test_integer_seed_and_num_cores_accepted(self):
+        import numpy as np
+
+        scenario = Scenario.from_dict({"seed": np.int64(7), "num_cores": 16})
+        assert (scenario.seed, scenario.num_cores) == (7, 16)
+        assert Scenario.from_dict({"seed": None}).seed is None
+
     def test_workload_validation(self):
         with pytest.raises(ValueError):
             Workload("two_minute", scale=0.0)

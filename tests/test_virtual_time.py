@@ -330,8 +330,9 @@ class TestSlots:
         core = Core(core_id=0, group="all")
         assert not hasattr(core, "__dict__")
         queue = EventQueue()
-        event = queue.push(0.0, None, tag="arrival", payload=task)._event
+        event = queue.push(0.0, None, tag="arrival", payload=task)
         assert not hasattr(event, "__dict__")
+        assert queue.pop() is event
 
     def test_dataclass_fields_still_work(self):
         task = Task(task_id=1, arrival_time=0.5, service_time=2.0, name="fib")

@@ -175,7 +175,8 @@ class HybridScheduler(Scheduler):
             return
         self.sim.stop_task(task, core, preempted=True)
         self.sim.start_task(task, self._pick_cfs_core())
-        task.groups_visited.append(CFS_GROUP)
+        # A fresh task holds a shared empty tuple; its list is made here.
+        task.groups_visited = [*task.groups_visited, CFS_GROUP]
         self.tasks_preempted_to_cfs += 1
         self._dispatch_next_fifo(core)
 

@@ -280,6 +280,22 @@ def _run_scenario_file(
             print(f"error: bad stream flags: {exc}", file=sys.stderr)
             return 2
         scenario = replace(scenario, stream=stream)
+    stream = scenario.stream
+    if stream is not None and stream.trace_csv is not None:
+        if not Path(stream.trace_csv).is_file():
+            print(f"error: trace CSV {stream.trace_csv} not found", file=sys.stderr)
+            return 2
+    elif stream is not None:
+        from repro.scenario.workloads import available_stream_sources
+
+        known = available_stream_sources()
+        source = scenario.workload.source if scenario.workload else None
+        if source is None or source.lower() not in known:
+            print(
+                f"error: unknown stream source {source!r}; available: {', '.join(known)}",
+                file=sys.stderr,
+            )
+            return 2
     result = run(scenario)
     rendered = result.describe()
     print(rendered)

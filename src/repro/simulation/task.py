@@ -26,7 +26,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from math import inf
+from typing import Optional, Sequence
 
 #: ``slots=True`` keeps per-task memory/attribute-lookup cost down on the
 #: hot path; only available for dataclasses on Python >= 3.10.
@@ -43,7 +44,7 @@ class TaskState(Enum):
     FINISHED = "finished"
 
 
-@dataclass(**DATACLASS_KWARGS)
+@dataclass(init=False, **DATACLASS_KWARGS)
 class Task:
     """A single serverless function invocation.
 
@@ -84,32 +85,60 @@ class Task:
     migrations: int = 0
     vruntime: float = 0.0
     last_core: Optional[int] = None
-    groups_visited: list = field(default_factory=list)
+    #: Core groups the task was handed to; the hybrid scheduler replaces the
+    #: shared empty tuple with a list on the first hand-off.
+    groups_visited: Sequence[str] = ()
     #: Concrete remaining work, valid as of the owning core's last
     #: materialization (exact while detached).  Read through ``remaining``.
-    _remaining: float = field(default=0.0, init=False, repr=False, compare=False)
+    _remaining: float = field(default=0.0, repr=False, compare=False)
     #: The core currently executing this task, or None while detached.
-    _core: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    _core: Optional[object] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.service_time <= 0:
+    def __init__(
+        self,
+        task_id: int,
+        arrival_time: float,
+        service_time: float,
+        memory_mb: int = 128,
+        name: str = "",
+        fibonacci_n: Optional[int] = None,
+        deadline: Optional[float] = None,
+        metadata: Optional[dict] = None,
+        weight: float = 1.0,
+    ) -> None:
+        # Chained comparisons are False for NaN, so non-finite values fail too.
+        if not 0.0 < service_time < inf:
             raise ValueError(
-                f"task {self.task_id} must have positive service time, "
-                f"got {self.service_time!r}"
+                f"task {task_id} must have positive, finite service time, "
+                f"got {service_time!r}"
             )
-        if self.arrival_time < 0:
+        if not 0.0 <= arrival_time < inf:
             raise ValueError(
-                f"task {self.task_id} has negative arrival time {self.arrival_time!r}"
+                f"task {task_id} has negative or non-finite arrival time {arrival_time!r}"
             )
-        if self.memory_mb <= 0:
+        if memory_mb <= 0:
             raise ValueError(
-                f"task {self.task_id} must have positive memory size, got {self.memory_mb!r}"
+                f"task {task_id} must have positive memory size, got {memory_mb!r}"
             )
-        if self.weight <= 0:
+        if not 0.0 < weight < inf:
             raise ValueError(
-                f"task {self.task_id} must have positive weight, got {self.weight!r}"
+                f"task {task_id} must have positive, finite weight, got {weight!r}"
             )
-        self._remaining = float(self.service_time)
+        self.task_id = task_id
+        self.arrival_time = arrival_time
+        self.service_time = service_time
+        self.memory_mb = memory_mb
+        self.name = name
+        self.fibonacci_n = fibonacci_n
+        self.deadline = deadline
+        self.metadata = {} if metadata is None else metadata
+        self.weight = weight
+        self.state = TaskState.CREATED
+        self.first_run_time = self.completion_time = self.last_core = self._core = None
+        self.cpu_time_received = self.vruntime = 0.0
+        self.preemptions = self.migrations = 0
+        self.groups_visited = ()
+        self._remaining = float(service_time)
 
     # --- remaining work (sync-on-read) ---------------------------------------
 

@@ -15,8 +15,10 @@ Convenience builders reproduce the two workloads the paper uses:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from math import inf
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +38,18 @@ class WorkloadItem:
     memory_mb: int
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time!r}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration!r}")
+        # Chained comparisons are False for NaN, so non-finite values fail too.
+        if not 0.0 <= self.arrival_time < inf:
+            raise ValueError(f"arrival_time must be finite, >= 0, got {self.arrival_time!r}")
+        if not 0.0 < self.duration < inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if self.memory_mb <= 0:
             raise ValueError(f"memory_mb must be positive, got {self.memory_mb!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer, but not a bool (``True`` would pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,14 +62,61 @@ class WorkloadSpec:
     duration_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        if not _is_int(self.minutes):
+            raise TypeError(f"minutes must be an integer, got {self.minutes!r}")
         if self.minutes <= 0:
             raise ValueError(f"minutes must be positive, got {self.minutes!r}")
+        if self.limit is not None and not _is_int(self.limit):
+            raise TypeError(f"limit must be an integer or None, got {self.limit!r}")
         if self.limit is not None and self.limit <= 0:
             raise ValueError(f"limit must be positive when set, got {self.limit!r}")
         if not 0 <= self.duration_jitter < 1:
             raise ValueError(
                 f"duration_jitter must be in [0, 1), got {self.duration_jitter!r}"
             )
+
+
+def bucket_cell(
+    bucket: TraceBucket, minute: int, rng, duration_jitter: float
+) -> Optional[Tuple[np.ndarray, ...]]:
+    """One bucket's invocations in one minute as column arrays (None if idle).
+
+    Arrivals are evenly spaced within the minute.  ``rng`` is a Generator or
+    a seed for one, built only for a busy cell.  It draws every memory size,
+    then (with jitter) every duration factor: the same draws in the same
+    order as drawing one invocation at a time.
+    """
+    count = bucket.invocations_in_minute(minute)
+    if count <= 0:
+        return None
+    rng = np.random.default_rng(rng)
+    memory = rng.choice(
+        np.array(bucket.memory_sizes_mb or [128]),
+        size=count,
+        p=np.array(bucket.memory_weights or [1.0]),
+    ).astype(np.int64, copy=False)
+    if duration_jitter > 0:
+        factor = 1.0 + rng.uniform(-duration_jitter, duration_jitter, size=count)
+        duration = bucket.duration * factor
+    else:
+        duration = np.full(count, float(bucket.duration))
+    arrival = minute * 60.0 + np.arange(count) * (60.0 / count)
+    return arrival, np.full(count, bucket.fibonacci_n, dtype=np.int64), duration, memory
+
+
+def sorted_rows(cells: Iterable[Optional[tuple]], limit: Optional[int] = None) -> Iterable:
+    """Merge cells into ``(arrival_time, fibonacci_n, duration, memory_mb)`` rows.
+
+    Rows are sorted by ``(arrival_time, fibonacci_n)`` with ties in cell order
+    (``np.lexsort`` is stable), cut at ``limit``, and hold Python floats and ints.
+    They are yielded one at a time, so no list of row tuples is kept alive.
+    """
+    cells = [cell for cell in cells if cell is not None]
+    if not cells:
+        return []
+    columns = [np.concatenate(column) for column in zip(*cells)]
+    order = np.lexsort((columns[1], columns[0]))[:limit]
+    return zip(*(column[order].tolist() for column in columns))
 
 
 class WorkloadGenerator:
@@ -77,37 +132,12 @@ class WorkloadGenerator:
     def generate_items(self, spec: WorkloadSpec) -> List[WorkloadItem]:
         """Generate workload items for the first ``spec.minutes`` minutes."""
         rng = np.random.default_rng(spec.seed)
-        items: List[WorkloadItem] = []
-        for bucket in self.buckets:
-            memory_sizes = bucket.memory_sizes_mb or [128]
-            memory_weights = bucket.memory_weights or [1.0]
-            for minute in range(spec.minutes):
-                count = bucket.invocations_in_minute(minute)
-                if count <= 0:
-                    continue
-                interval = 60.0 / count
-                memory_choices = rng.choice(
-                    np.array(memory_sizes), size=count, p=np.array(memory_weights)
-                )
-                for k in range(count):
-                    arrival = minute * 60.0 + k * interval
-                    duration = bucket.duration
-                    if spec.duration_jitter > 0:
-                        duration *= 1.0 + rng.uniform(
-                            -spec.duration_jitter, spec.duration_jitter
-                        )
-                    items.append(
-                        WorkloadItem(
-                            arrival_time=arrival,
-                            fibonacci_n=bucket.fibonacci_n,
-                            duration=float(duration),
-                            memory_mb=int(memory_choices[k]),
-                        )
-                    )
-        items.sort(key=lambda item: (item.arrival_time, item.fibonacci_n))
-        if spec.limit is not None:
-            items = items[: spec.limit]
-        return items
+        cells = (
+            bucket_cell(bucket, minute, rng, spec.duration_jitter)
+            for bucket in self.buckets
+            for minute in range(spec.minutes)
+        )
+        return [WorkloadItem(*row) for row in sorted_rows(cells, spec.limit)]
 
     def generate_tasks(self, spec: WorkloadSpec) -> List[Task]:
         """Generate :class:`Task` objects ready to submit to a simulator."""
@@ -143,26 +173,38 @@ class WorkloadGenerator:
         return float(durations_arr[index])
 
 
-def items_to_tasks(items: Sequence[WorkloadItem]) -> List[Task]:
-    """Convert workload items into simulator tasks (ids follow arrival order).
+def rows_to_tasks(rows: Iterable[tuple], first_task_id: int = 0) -> List[Task]:
+    """Tasks from sorted ``(arrival_time, fibonacci_n, duration, memory_mb)`` rows.
 
-    Each task carries a ``function_id`` in its metadata identifying the
-    serverless function it is an invocation of (same Fibonacci argument and
-    memory size ⇒ same function).  Locality-aware cluster dispatchers route
-    on this id so repeat invocations land on the same node.
+    Ids follow row order from ``first_task_id``.  Each task carries a
+    ``function_id`` in its metadata identifying the serverless function it
+    is an invocation of (same Fibonacci argument and memory size ⇒ same
+    function); locality-aware cluster dispatchers route on this id so
+    repeat invocations land on the same node.  All invocations of one
+    function share one ``name`` and one ``function_id`` string, but each
+    task gets its own metadata dict: node delivery, retries and
+    checkpointing write into it.
     """
-    return [
-        Task(
-            task_id=i,
-            arrival_time=item.arrival_time,
-            service_time=item.duration,
-            memory_mb=item.memory_mb,
-            fibonacci_n=item.fibonacci_n,
-            name=f"fib({item.fibonacci_n})",
-            metadata={"function_id": f"fib({item.fibonacci_n})/{item.memory_mb}mb"},
+    labels: Dict[tuple, tuple] = {}
+    tasks: List[Task] = []
+    for task_id, (arrival, fibonacci_n, duration, memory_mb) in enumerate(rows, first_task_id):
+        label = labels.get((fibonacci_n, memory_mb))
+        if label is None:
+            name = f"fib({fibonacci_n})"
+            label = labels[fibonacci_n, memory_mb] = (name, f"{name}/{memory_mb}mb")
+        metadata = {"function_id": label[1]}
+        tasks.append(
+            Task(task_id, arrival, duration, memory_mb, label[0], fibonacci_n, None, metadata)
         )
-        for i, item in enumerate(items)
-    ]
+    return tasks
+
+
+def items_to_tasks(items: Sequence[WorkloadItem]) -> List[Task]:
+    """Convert workload items into simulator tasks (ids follow arrival order)."""
+    return rows_to_tasks(
+        (item.arrival_time, item.fibonacci_n, item.duration, item.memory_mb)
+        for item in items
+    )
 
 
 # --------------------------------------------------------------------------

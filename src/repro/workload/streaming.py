@@ -41,6 +41,7 @@ from repro.simulation.task import Task
 from repro.workload.azure import AzureTraceConfig, FunctionProfile, SyntheticAzureTrace
 from repro.workload.calibration import CalibrationTable, default_calibration_table
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
+from repro.workload.generator import WorkloadSpec, bucket_cell, rows_to_tasks, sorted_rows
 
 #: Metrics-cap policies understood by :func:`repro.simulation.columns
 #: .build_columns_store` (validated here so a bad spec fails at parse time).
@@ -189,14 +190,8 @@ class BucketStreamSource(StreamingWorkload):
     ) -> None:
         if not buckets:
             raise ValueError("a stream source needs at least one trace bucket")
-        if minutes <= 0:
-            raise ValueError(f"minutes must be positive, got {minutes!r}")
-        if limit is not None and limit <= 0:
-            raise ValueError(f"limit must be positive when set, got {limit!r}")
-        if not 0 <= duration_jitter < 1:
-            raise ValueError(
-                f"duration_jitter must be in [0, 1), got {duration_jitter!r}"
-            )
+        # Same checks (and messages) as the classic generator's spec.
+        WorkloadSpec(minutes=minutes, limit=limit, seed=seed, duration_jitter=duration_jitter)
         self.buckets = list(buckets)
         self.minutes = minutes
         self.seed = seed
@@ -214,55 +209,25 @@ class BucketStreamSource(StreamingWorkload):
     def batches(self) -> Iterator[List[Task]]:
         emitted = 0
         for minute in range(self.minutes):
-            window = self._window_tasks(minute, first_task_id=emitted)
-            if self.limit is not None and emitted + len(window) >= self.limit:
-                yield window[: self.limit - emitted]
-                return
+            left = None if self.limit is None else self.limit - emitted
+            window = self._window_tasks(minute, emitted, left)
             emitted += len(window)
             yield window
+            if emitted == self.limit:
+                return
 
     # ------------------------------------------------------------ internals
 
-    def _window_tasks(self, minute: int, first_task_id: int) -> List[Task]:
-        rows: List[tuple] = []
-        for bucket in self.buckets:
-            count = bucket.invocations_in_minute(minute)
-            if count <= 0:
-                continue
-            memory_sizes = bucket.memory_sizes_mb or [128]
-            memory_weights = bucket.memory_weights or [1.0]
-            rng = np.random.default_rng((self.seed, bucket.fibonacci_n, minute))
-            memory_choices = rng.choice(
-                np.array(memory_sizes), size=count, p=np.array(memory_weights)
+    def _window_tasks(
+        self, minute: int, first_task_id: int, limit: Optional[int]
+    ) -> List[Task]:
+        cells = (
+            bucket_cell(
+                bucket, minute, (self.seed, bucket.fibonacci_n, minute), self.duration_jitter
             )
-            interval = 60.0 / count
-            for k in range(count):
-                duration = bucket.duration
-                if self.duration_jitter > 0:
-                    duration *= 1.0 + rng.uniform(
-                        -self.duration_jitter, self.duration_jitter
-                    )
-                rows.append(
-                    (
-                        minute * 60.0 + k * interval,
-                        bucket.fibonacci_n,
-                        float(duration),
-                        int(memory_choices[k]),
-                    )
-                )
-        rows.sort(key=lambda row: (row[0], row[1]))
-        return [
-            Task(
-                task_id=first_task_id + i,
-                arrival_time=arrival,
-                service_time=duration,
-                memory_mb=memory_mb,
-                fibonacci_n=fibonacci_n,
-                name=f"fib({fibonacci_n})",
-                metadata={"function_id": f"fib({fibonacci_n})/{memory_mb}mb"},
-            )
-            for i, (arrival, fibonacci_n, duration, memory_mb) in enumerate(rows)
-        ]
+            for bucket in self.buckets
+        )
+        return rows_to_tasks(sorted_rows(cells, limit), first_task_id)
 
 
 def trace_stream_source(

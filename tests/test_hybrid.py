@@ -161,6 +161,13 @@ class TestTaskLifecycle:
         assert scheduler.tasks_completed_in_cfs == 1
         assert not scheduler._limit_timers
 
+    def test_hand_off_records_cfs_group(self):
+        """Only the long task is handed off, and it records the CFS group once."""
+        config = HybridConfig(fifo_cores=1, cfs_cores=1, time_limit=0.2)
+        _, result = run_hybrid([(0.0, 1.0), (0.0, 0.1)], config=config, num_cores=2)
+        visited = {task.service_time: task.groups_visited for task in result.finished_tasks}
+        assert visited == {1.0: [CFS_GROUP], 0.1: ()}
+
 
 class TestTooFewCores:
     def test_preferred_groups_needs_two_cores(self):

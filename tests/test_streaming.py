@@ -163,6 +163,10 @@ class TestBucketStreamSource:
             BucketStreamSource(make_buckets(), minutes=4, limit=0)
         with pytest.raises(ValueError):
             BucketStreamSource(make_buckets(), minutes=4, duration_jitter=1.0)
+        with pytest.raises(TypeError, match="minutes"):
+            BucketStreamSource(make_buckets(), minutes=2.5)
+        with pytest.raises(TypeError, match="limit"):
+            BucketStreamSource(make_buckets(), minutes=4, limit=True)
 
 
 # ---------------------------------------------------- streaming == materialised
@@ -582,6 +586,30 @@ class TestRunnerStreamFlags:
         )
         assert rc == 2
         assert "bad stream flags" in capsys.readouterr().err
+
+    def test_unknown_stream_source_fails_cleanly(self, capsys):
+        """A scenario whose workload has no stream source exits 2 with the list."""
+        from pathlib import Path
+
+        from repro.experiments.runner import run_cli
+
+        diurnal = Path(__file__).resolve().parent.parent / "scenarios" / "diurnal.json"
+        rc = run_cli(["--scenario", str(diurnal), "--stream-chunk", "512"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown stream source 'diurnal'")
+        for name in ("azure_day", "ten_minute", "two_minute"):
+            assert name in err
+
+    def test_missing_trace_csv_fails_cleanly(self, tmp_path, capsys):
+        from repro.experiments.runner import run_cli
+
+        missing = tmp_path / "absent.csv"
+        rc = run_cli(
+            ["--scenario", str(self.write_scenario(tmp_path)), "--trace-csv", str(missing)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: trace CSV {missing} not found\n"
 
     def test_stream_flags_require_scenario(self, capsys):
         from repro.experiments.runner import run_cli

@@ -19,6 +19,27 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             make_task(memory_mb=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"service_time": float("nan")}, "service time"),
+            ({"service_time": float("inf")}, "service time"),
+            ({"arrival_time": float("nan")}, "arrival time"),
+            ({"arrival_time": float("inf")}, "arrival time"),
+            ({"weight": float("nan")}, "weight"),
+            ({"weight": float("inf")}, "weight"),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, kwargs, field):
+        args = {"task_id": 3, "arrival_time": 0.0, "service_time": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"task 3 .*{field}"):
+            Task(**args)
+
+    def test_fresh_task_holds_no_visited_list(self):
+        task = make_task()
+        assert task.groups_visited == ()
+        assert task.metadata == {} and make_task().metadata is not task.metadata
+
     def test_remaining_initialised_to_service(self):
         task = make_task(service=2.5)
         assert task.remaining == 2.5

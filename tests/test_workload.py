@@ -1,5 +1,8 @@
 """Tests for the workload substrate: Fibonacci, calibration, trace, pipeline."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.workload.calibration import (
     MeasuredCalibration,
     default_calibration_table,
 )
-from repro.workload.extraction import ExtractionPipeline
+from repro.workload.extraction import ExtractionPipeline, TraceBucket
 from repro.workload.fibonacci import (
     fibonacci,
     fibonacci_recursive,
@@ -162,7 +165,60 @@ class TestExtractionPipeline:
             ExtractionPipeline(max_duration=0.0)
 
 
+def loop_reference_items(buckets, spec):
+    """Items drawn one invocation at a time, as the generator did before numpy."""
+    rng = np.random.default_rng(spec.seed)
+    items = []
+    for bucket in buckets:
+        for minute in range(spec.minutes):
+            count = bucket.invocations_in_minute(minute)
+            if count <= 0:
+                continue
+            interval = 60.0 / count
+            memory_choices = rng.choice(
+                np.array(bucket.memory_sizes_mb or [128]),
+                size=count,
+                p=np.array(bucket.memory_weights or [1.0]),
+            )
+            for k in range(count):
+                duration = bucket.duration
+                if spec.duration_jitter > 0:
+                    duration *= 1.0 + rng.uniform(-spec.duration_jitter, spec.duration_jitter)
+                items.append(
+                    WorkloadItem(
+                        minute * 60.0 + k * interval,
+                        bucket.fibonacci_n,
+                        float(duration),
+                        int(memory_choices[k]),
+                    )
+                )
+    items.sort(key=lambda item: (item.arrival_time, item.fibonacci_n))
+    return items[: spec.limit]
+
+
 class TestWorkloadGenerator:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WorkloadSpec(minutes=3),
+            WorkloadSpec(minutes=3, limit=20, seed=3),
+            WorkloadSpec(minutes=2, duration_jitter=0.3, seed=11),
+        ],
+    )
+    def test_items_match_one_at_a_time_reference(self, spec):
+        """Same values, types and order; two buckets share fib(30) to exercise ties."""
+        buckets = [
+            TraceBucket(30, 0.4, np.array([6.0, 0.0, 9.0]), [128, 256], [0.7, 0.3]),
+            TraceBucket(25, 0.05, np.array([3.0, 7.0, 4.0])),
+            TraceBucket(30, 0.9, np.array([3.0, 5.0, 1.0]), [512.0, 1024.0], [0.5, 0.5]),
+        ]
+        got = WorkloadGenerator(buckets).generate_items(spec)
+        want = loop_reference_items(buckets, spec)
+        assert got == want
+        assert [tuple(map(type, vars(i).values())) for i in got] == [
+            tuple(map(type, vars(i).values())) for i in want
+        ]
+
     def test_items_sorted_and_limited(self):
         trace = generate_trace(AzureTraceConfig(minutes=2, num_functions=300))
         buckets = ExtractionPipeline().run(trace)
@@ -203,6 +259,58 @@ class TestWorkloadGenerator:
             WorkloadItem(arrival_time=-1.0, fibonacci_n=36, duration=0.1, memory_mb=128)
         with pytest.raises(ValueError):
             WorkloadItem(arrival_time=0.0, fibonacci_n=36, duration=0.0, memory_mb=128)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_item_rejects_non_finite_arrival(self, value):
+        with pytest.raises(ValueError, match="arrival_time"):
+            WorkloadItem(arrival_time=value, fibonacci_n=36, duration=0.1, memory_mb=128)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_item_rejects_non_finite_duration(self, value):
+        with pytest.raises(ValueError, match="duration"):
+            WorkloadItem(arrival_time=0.0, fibonacci_n=36, duration=value, memory_mb=128)
+
+    @pytest.mark.parametrize("field", ["minutes", "limit"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_spec_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            WorkloadSpec(**{field: value})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = WorkloadSpec(minutes=np.int64(2), limit=np.int32(10))
+        assert spec.minutes == 2 and spec.limit == 10
+
+    def test_tasks_of_one_function_share_labels_not_metadata(self):
+        items = [
+            WorkloadItem(arrival_time=0.0, fibonacci_n=36, duration=0.2, memory_mb=128),
+            WorkloadItem(arrival_time=0.5, fibonacci_n=36, duration=0.2, memory_mb=256),
+            WorkloadItem(arrival_time=1.0, fibonacci_n=36, duration=0.2, memory_mb=128),
+        ]
+        first, other_memory, second = items_to_tasks(items)
+        assert first.name is second.name and first.name == "fib(36)"
+        fid = first.metadata["function_id"]
+        assert fid is second.metadata["function_id"] and fid == "fib(36)/128mb"
+        assert other_memory.metadata["function_id"] == "fib(36)/256mb"
+        assert first.metadata is not second.metadata
+        first.metadata["attempt"] = 2
+        assert "attempt" not in second.metadata
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="Task has no __slots__ before Python 3.10"
+    )
+    def test_bytes_per_task_budget(self):
+        """A built task stays at or under 450 B (587 B with per-task labels)."""
+        trace = generate_trace(AzureTraceConfig(minutes=2))
+        generator = WorkloadGenerator(ExtractionPipeline().run(trace))
+        items = generator.generate_items(WorkloadSpec(minutes=2, limit=5_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tasks = items_to_tasks(items)
+            per_task = (tracemalloc.get_traced_memory()[0] - before) / len(tasks)
+        finally:
+            tracemalloc.stop()
+        assert per_task <= 450, f"{per_task:.0f} B per task"
 
 
 class TestTraceIO:

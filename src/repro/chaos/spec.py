@@ -2,10 +2,9 @@
 
 :class:`ChaosSpec` is the one knob a run exposes: a frozen value object
 carried by :class:`~repro.scenario.scenario.Scenario` (round-tripping
-through its JSON form, exactly like
-:class:`~repro.telemetry.spec.TelemetrySpec`) or passed directly to
-:class:`~repro.cluster.simulator.ClusterSimulator`.  It describes two
-Poisson revocation processes per node:
+through its JSON form by the shared :mod:`repro.spec` protocol) or passed
+directly to :class:`~repro.cluster.simulator.ClusterSimulator`.  It
+describes two Poisson revocation processes per node:
 
 * **crashes** — the node disappears with no warning: queued and running
   tasks are lost, forfeit all progress, and re-enter through the ordinary
@@ -24,11 +23,13 @@ exact pre-chaos code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
+
+from repro.spec import Spec, validate
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Spec):
     """Tuning knobs of the fault injector.
 
     Attributes:
@@ -55,6 +56,7 @@ class ChaosSpec:
     max_failures: Optional[int] = None
 
     def __post_init__(self) -> None:
+        validate(self)
         if self.crash_rate < 0:
             raise ValueError(f"crash_rate must be >= 0, got {self.crash_rate!r}")
         if self.revocation_rate < 0:
@@ -71,24 +73,3 @@ class ChaosSpec:
             raise ValueError(
                 f"max_failures must be >= 1 when set, got {self.max_failures!r}"
             )
-
-    # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict, omitting fields left at their defaults."""
-        data: Dict[str, Any] = {}
-        if self.crash_rate != 0.0:
-            data["crash_rate"] = self.crash_rate
-        if self.revocation_rate != 0.0:
-            data["revocation_rate"] = self.revocation_rate
-        if self.warning != 2.0:
-            data["warning"] = self.warning
-        if self.redispatch_delay != 0.0:
-            data["redispatch_delay"] = self.redispatch_delay
-        if self.max_failures is not None:
-            data["max_failures"] = self.max_failures
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosSpec":
-        return cls(**data)

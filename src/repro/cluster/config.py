@@ -18,13 +18,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.firecracker.microvm import MicroVMSpec
 from repro.simulation.config import SimulationConfig
+from repro.spec import Spec, validate
 
 #: Default node cold-start delay: one Firecracker microVM boot (~125 ms).
 DEFAULT_NODE_BOOT_TIME = MicroVMSpec().boot_time
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Spec):
     """Dispatcher→node network model.
 
     With the default (``rtt=0``) dispatch is instantaneous and the cluster
@@ -58,6 +59,7 @@ class NetworkSpec:
     probe_rtts: float = 1.0
 
     def __post_init__(self) -> None:
+        validate(self)
         if self.rtt < 0:
             raise ValueError(f"rtt must be >= 0, got {self.rtt!r}")
         if self.probe_rtts < 0:
@@ -76,24 +78,9 @@ class NetworkSpec:
             delay += rtt * self.probe_rtts
         return delay
 
-    # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly dict, omitting fields left at their defaults."""
-        data: Dict[str, object] = {}
-        if self.rtt != 0.0:
-            data["rtt"] = self.rtt
-        if self.probe_rtts != 1.0:
-            data["probe_rtts"] = self.probe_rtts
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NetworkSpec":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Spec):
     """Shape of one node (or ``count`` identical nodes) in the fleet.
 
     Attributes:
@@ -131,6 +118,7 @@ class NodeSpec:
     revocation_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
+        validate(self)
         if self.cores <= 0:
             raise ValueError(f"cores must be positive, got {self.cores!r}")
         if self.speed_factor <= 0:
@@ -165,31 +153,6 @@ class NodeSpec:
         if self.count == 1:
             return self
         return replace(self, count=1)
-
-    # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly dict, omitting fields left at their defaults."""
-        data: Dict[str, object] = {"cores": self.cores}
-        if self.speed_factor != 1.0:
-            data["speed_factor"] = self.speed_factor
-        if self.count != 1:
-            data["count"] = self.count
-        if self.label:
-            data["label"] = self.label
-        if self.price_per_hour is not None:
-            data["price_per_hour"] = self.price_per_hour
-        if self.rtt is not None:
-            data["rtt"] = self.rtt
-        if self.crash_rate is not None:
-            data["crash_rate"] = self.crash_rate
-        if self.revocation_rate is not None:
-            data["revocation_rate"] = self.revocation_rate
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeSpec":
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -152,51 +152,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_params(text: str, what: str) -> dict:
+    """``k=v,k=v`` -> a dict, each value read as an int, else a float, else a str."""
+    params = {}
+    for pair in text.split(","):
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise ValueError(f"bad {what} param {pair!r} (expected key=value)")
+        for parse in (int, float, str):
+            try:
+                params[key] = parse(raw)
+                break
+            except ValueError:
+                continue
+    return params
+
+
 def _parse_middleware_flag(value: str):
-    """``name`` or ``name:k=v,k=v`` -> a MiddlewareSpec (values coerced)."""
+    """``name`` or ``name:k=v,k=v`` -> a MiddlewareSpec."""
     from repro.middleware.spec import MiddlewareSpec
 
     name, _, tail = value.partition(":")
-    params = {}
-    if tail:
-        for pair in tail.split(","):
-            key, sep, raw = pair.partition("=")
-            if not sep or not key:
-                raise ValueError(
-                    f"bad middleware param {pair!r} (expected key=value)"
-                )
-            try:
-                parsed: object = int(raw)
-            except ValueError:
-                try:
-                    parsed = float(raw)
-                except ValueError:
-                    parsed = raw
-            params[key] = parsed
+    params = _parse_params(tail, "middleware") if tail else {}
     return MiddlewareSpec(name=name, params=params)
 
 
 def _parse_chaos_flag(value: str):
-    """``k=v,k=v`` -> a ChaosSpec (values coerced int -> float -> str)."""
+    """``k=v,k=v`` -> a ChaosSpec, checked like a scenario file's block."""
     from repro.chaos.spec import ChaosSpec
 
-    params = {}
-    for pair in value.split(","):
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"bad chaos param {pair!r} (expected key=value)")
-        try:
-            parsed: object = int(raw)
-        except ValueError:
-            try:
-                parsed = float(raw)
-            except ValueError:
-                parsed = raw
-        params[key] = parsed
-    try:
-        return ChaosSpec(**params)
-    except TypeError as exc:
-        raise ValueError(f"bad chaos spec {value!r}: {exc}") from None
+    return ChaosSpec.from_dict(_parse_params(value, "chaos"))
 
 
 def _run_scenario_file(
@@ -217,6 +202,7 @@ def _run_scenario_file(
 
     from repro.scenario import Scenario, run
     from repro.telemetry import TelemetrySpec
+    from repro.workload.streaming import TraceFormatError
 
     try:
         scenario = Scenario.from_json(path.read_text())
@@ -245,14 +231,14 @@ def _run_scenario_file(
     if middleware:
         try:
             specs = tuple(_parse_middleware_flag(value) for value in middleware)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         scenario = replace(scenario, middleware=specs)
     if chaos is not None:
         try:
             spec = _parse_chaos_flag(chaos)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         scenario = replace(scenario, chaos=spec)
@@ -296,7 +282,11 @@ def _run_scenario_file(
                 file=sys.stderr,
             )
             return 2
-    result = run(scenario)
+    try:
+        result = run(scenario)
+    except TraceFormatError as exc:
+        print(f"error: trace CSV {stream.trace_csv}: {exc}", file=sys.stderr)
+        return 2
     rendered = result.describe()
     print(rendered)
     if trace_out is not None:

@@ -2,7 +2,7 @@
 
 A :class:`MiddlewareSpec` is pure data — a registry name plus factory
 parameters — so a middleware stack round-trips through ``Scenario`` JSON
-exactly like node specs and the telemetry spec::
+by the shared :mod:`repro.spec` protocol::
 
     "middleware": [
       {"name": "admission", "params": {"max_queue_depth": 256}},
@@ -17,20 +17,22 @@ import time, so configuration layers can depend on it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Union
+from typing import Annotated, Any, Dict, Union
+
+from repro.spec import Spec, check, validate
 
 
 @dataclass(frozen=True)
-class MiddlewareSpec:
+class MiddlewareSpec(Spec):
     """One middleware in a declarative chain: registry name + parameters."""
 
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
+        validate(self)
+        if not self.name:
             raise ValueError(f"middleware name must be a non-empty string, got {self.name!r}")
-        object.__setattr__(self, "params", dict(self.params))
 
     def build(self):
         """Instantiate the registered middleware this spec names."""
@@ -38,28 +40,16 @@ class MiddlewareSpec:
 
         return create_middleware(self.name, **self.params)
 
-    # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict, omitting empty params."""
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MiddlewareSpec":
-        return cls(name=data["name"], params=dict(data.get("params", {})))
-
     @classmethod
     def coerce(cls, value: Union[str, Dict[str, Any], "MiddlewareSpec"]) -> "MiddlewareSpec":
         """Normalise a name, a dict, or a spec into a :class:`MiddlewareSpec`."""
-        if isinstance(value, MiddlewareSpec):
-            return value
-        if isinstance(value, str):
-            return cls(name=value)
-        if isinstance(value, dict):
-            return cls.from_dict(value)
-        raise TypeError(
-            f"middleware entries must be a name, a dict or a MiddlewareSpec, got {value!r}"
-        )
+        return check(value, MiddlewareEntry, "middleware")
+
+
+def _by_name(value: Any, path: str) -> Any:
+    """A bare registry name is shorthand for a spec with default params."""
+    return MiddlewareSpec(name=value) if isinstance(value, str) else value
+
+
+#: One chain entry as a field type: a spec, its dict form or a bare name.
+MiddlewareEntry = Annotated[MiddlewareSpec, _by_name]

@@ -28,7 +28,6 @@ built — fixed-seed runs are bit-identical either way.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,8 +35,9 @@ from repro.chaos.spec import ChaosSpec
 from repro.cluster.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.cost.cost_model import CostModel
 from repro.cost.pricing import DEFAULT_PRICE_PER_CORE_HOUR
-from repro.middleware.spec import MiddlewareSpec
+from repro.middleware.spec import MiddlewareEntry
 from repro.simulation.config import SimulationConfig
+from repro.spec import Spec, validate
 from repro.telemetry.spec import TelemetrySpec
 from repro.workload.streaming import StreamSpec
 
@@ -47,7 +47,7 @@ DEFAULT_NUM_CORES = 50
 
 
 @dataclass(frozen=True)
-class Workload:
+class Workload(Spec):
     """Declarative reference to a registered workload.
 
     Attributes:
@@ -63,6 +63,7 @@ class Workload:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        validate(self)
         if not self.source:
             raise ValueError("workload source must be a non-empty name")
         if self.scale <= 0:
@@ -74,30 +75,17 @@ class Workload:
 
         return create_workload(self.source, scale=self.scale, **self.params)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"source": self.source}
-        if self.scale != 1.0:
-            data["scale"] = self.scale
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Workload":
-        return cls(
-            source=data["source"],
-            scale=data.get("scale", 1.0),
-            params=dict(data.get("params", {})),
-        )
-
 
 @dataclass(frozen=True)
-class CostSpec:
+class CostSpec(Spec):
     """Declarative cost-model configuration carried by a scenario."""
 
     include_request_fee: bool = False
     bill_response_time: bool = False
     price_per_core_hour: float = DEFAULT_PRICE_PER_CORE_HOUR
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     def build_model(self) -> CostModel:
         return CostModel(
@@ -106,28 +94,9 @@ class CostSpec:
             price_per_core_hour=self.price_per_core_hour,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.include_request_fee:
-            data["include_request_fee"] = True
-        if self.bill_response_time:
-            data["bill_response_time"] = True
-        if self.price_per_core_hour != DEFAULT_PRICE_PER_CORE_HOUR:
-            data["price_per_core_hour"] = self.price_per_core_hour
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CostSpec":
-        return cls(**data)
-
-
-def _is_int(value: Any) -> bool:
-    """An integer, but not a bool (``True`` would pass as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One fully declarative experiment run.
 
     A scenario is *single-machine* by default; setting ``num_nodes`` or
@@ -190,7 +159,7 @@ class Scenario:
     migration_kwargs: Dict[str, Any] = field(default_factory=dict)
     autoscaler: Optional[Dict[str, Any]] = None
     network: Optional[NetworkSpec] = None
-    middleware: Tuple[MiddlewareSpec, ...] = ()
+    middleware: Tuple[MiddlewareEntry, ...] = ()
     chaos: Optional[ChaosSpec] = None
     node_boot_time: Optional[float] = None
     # --- run knobs ---------------------------------------------------------
@@ -210,30 +179,7 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.node_specs is not None:
-            specs = tuple(
-                spec if isinstance(spec, NodeSpec) else NodeSpec.from_dict(spec)
-                for spec in self.node_specs
-            )
-            object.__setattr__(self, "node_specs", specs)
-        if self.network is not None and not isinstance(self.network, NetworkSpec):
-            object.__setattr__(
-                self, "network", NetworkSpec.from_dict(self.network)
-            )
-        if self.telemetry is not None and not isinstance(self.telemetry, TelemetrySpec):
-            object.__setattr__(
-                self, "telemetry", TelemetrySpec.from_dict(self.telemetry)
-            )
-        if self.middleware:
-            object.__setattr__(
-                self,
-                "middleware",
-                tuple(MiddlewareSpec.coerce(m) for m in self.middleware),
-            )
-        if self.chaos is not None and not isinstance(self.chaos, ChaosSpec):
-            object.__setattr__(self, "chaos", ChaosSpec.from_dict(self.chaos))
-        if self.stream is not None and not isinstance(self.stream, StreamSpec):
-            object.__setattr__(self, "stream", StreamSpec.from_dict(self.stream))
+        validate(self)
         if not self.is_cluster:
             cluster_only = {
                 "migration": self.migration is not None,
@@ -253,12 +199,8 @@ class Scenario:
                     + ", ".join(set_fields)
                     + " (set num_nodes or node_specs for a cluster run)"
                 )
-        if not _is_int(self.num_cores):
-            raise TypeError(f"num_cores must be an integer, got {self.num_cores!r}")
         if self.num_cores <= 0:
             raise ValueError(f"num_cores must be positive, got {self.num_cores!r}")
-        if self.seed is not None and not _is_int(self.seed):
-            raise TypeError(f"seed must be an integer or None, got {self.seed!r}")
 
     # ------------------------------------------------------------------ shape
 
@@ -348,10 +290,7 @@ class Scenario:
         Each entry may be a registry name, a ``{"name": ..., "params": ...}``
         dict, or a :class:`~repro.middleware.spec.MiddlewareSpec`.
         """
-        return replace(
-            self,
-            middleware=tuple(MiddlewareSpec.coerce(m) for m in middleware),
-        )
+        return replace(self, middleware=middleware)
 
     def with_chaos(self, **kwargs) -> "Scenario":
         """Copy of this (cluster) scenario with fault injection enabled."""
@@ -362,104 +301,6 @@ class Scenario:
         return replace(self, stream=StreamSpec(**kwargs))
 
     # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict, omitting fields left at their defaults."""
-        data: Dict[str, Any] = {}
-        if self.name:
-            data["name"] = self.name
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        data["scheduler"] = self.scheduler
-        if self.scheduler_kwargs:
-            data["scheduler_kwargs"] = dict(self.scheduler_kwargs)
-        if self.is_cluster:
-            if self.num_nodes is not None:
-                data["num_nodes"] = self.num_nodes
-            if self.node_specs is not None:
-                data["node_specs"] = [spec.to_dict() for spec in self.node_specs]
-            else:
-                data["cores_per_node"] = self.cores_per_node
-            data["dispatcher"] = self.dispatcher
-            if self.dispatcher_kwargs:
-                data["dispatcher_kwargs"] = dict(self.dispatcher_kwargs)
-            if self.migration is not None:
-                data["migration"] = self.migration
-                if self.migration_kwargs:
-                    data["migration_kwargs"] = dict(self.migration_kwargs)
-            if self.autoscaler is not None:
-                data["autoscaler"] = dict(self.autoscaler)
-            if self.network is not None:
-                data["network"] = self.network.to_dict()
-            if self.middleware:
-                data["middleware"] = [spec.to_dict() for spec in self.middleware]
-            if self.chaos is not None:
-                data["chaos"] = self.chaos.to_dict()
-            if self.node_boot_time is not None:
-                data["node_boot_time"] = self.node_boot_time
-        else:
-            data["num_cores"] = self.num_cores
-            if self.core_speed != 1.0:
-                data["core_speed"] = self.core_speed
-        if self.seed is not None:
-            data["seed"] = self.seed
-        if self.max_simulated_time is not None:
-            data["max_simulated_time"] = self.max_simulated_time
-        if not self.record_utilization:
-            data["record_utilization"] = False
-        if self.utilization_window != 1.0:
-            data["utilization_window"] = self.utilization_window
-        cost = self.cost.to_dict()
-        if cost:
-            data["cost"] = cost
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry.to_dict()
-        if self.stream is not None:
-            data["stream"] = self.stream.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        payload = dict(data)
-        workload = payload.pop("workload", None)
-        if workload is not None:
-            payload["workload"] = Workload.from_dict(workload)
-        specs = payload.pop("node_specs", None)
-        if specs is not None:
-            payload["node_specs"] = tuple(
-                spec if isinstance(spec, NodeSpec) else NodeSpec.from_dict(spec)
-                for spec in specs
-            )
-        network = payload.pop("network", None)
-        if network is not None:
-            payload["network"] = (
-                network
-                if isinstance(network, NetworkSpec)
-                else NetworkSpec.from_dict(network)
-            )
-        chaos = payload.pop("chaos", None)
-        if chaos is not None:
-            payload["chaos"] = (
-                chaos if isinstance(chaos, ChaosSpec) else ChaosSpec.from_dict(chaos)
-            )
-        cost = payload.pop("cost", None)
-        if cost is not None:
-            payload["cost"] = CostSpec.from_dict(cost)
-        telemetry = payload.pop("telemetry", None)
-        if telemetry is not None:
-            payload["telemetry"] = (
-                telemetry
-                if isinstance(telemetry, TelemetrySpec)
-                else TelemetrySpec.from_dict(telemetry)
-            )
-        stream = payload.pop("stream", None)
-        if stream is not None:
-            payload["stream"] = (
-                stream
-                if isinstance(stream, StreamSpec)
-                else StreamSpec.from_dict(stream)
-            )
-        return cls(**payload)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

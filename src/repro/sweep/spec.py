@@ -25,29 +25,20 @@ order — one of the determinism guarantees the executor builds on.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Annotated, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.scenario.scenario import Scenario
+from repro.spec import Spec, load, validate
 
 
 class SweepError(ValueError):
     """A malformed sweep spec or override; the message names the bad field."""
-
-
-def _scenario_field_names() -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclass_fields(Scenario))
-
-
-def _suggest(name: str, candidates: Sequence[str]) -> str:
-    matches = difflib.get_close_matches(name, candidates, n=1)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 
 def apply_overrides(
@@ -61,16 +52,10 @@ def apply_overrides(
     a path that descends into a non-dict value is an error.
     """
     data = base.to_dict()
-    valid = _scenario_field_names()
     for path, value in overrides.items():
         if not path or not isinstance(path, str):
             raise SweepError(f"override field names must be non-empty strings, got {path!r}")
         parts = path.split(".")
-        if parts[0] not in valid:
-            raise SweepError(
-                f"unknown scenario field {parts[0]!r} in override {path!r}"
-                f"{_suggest(parts[0], valid)}"
-            )
         node = data
         for depth, part in enumerate(parts[:-1]):
             child = node.get(part)
@@ -108,7 +93,7 @@ def _format_value(value: object) -> str:
 
 
 @dataclass(frozen=True)
-class GridAxis:
+class GridAxis(Spec):
     """Every value of ``field``, crossed with every other grid axis.
 
     ``labels`` (optional, same length as ``values``) replaces the default
@@ -121,10 +106,8 @@ class GridAxis:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.field or not isinstance(self.field, str):
+        validate(self)
+        if not self.field:
             raise SweepError(f"grid axis field must be a non-empty string, got {self.field!r}")
         if not self.values:
             raise SweepError(f"grid axis {self.field!r} has no values")
@@ -139,15 +122,9 @@ class GridAxis:
             return self.labels[position]
         return f"{self.field}={_format_value(self.values[position])}"
 
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"field": self.field, "values": list(self.values)}
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        return data
-
 
 @dataclass(frozen=True)
-class RandomAxis:
+class RandomAxis(Spec):
     """A seeded uniform (optionally log-uniform / integer) draw per sample.
 
     Each axis draws from its own RNG stream keyed by (sweep seed, field),
@@ -162,7 +139,8 @@ class RandomAxis:
     integer: bool = False
 
     def __post_init__(self) -> None:
-        if not self.field or not isinstance(self.field, str):
+        validate(self)
+        if not self.field:
             raise SweepError(f"random axis field must be a non-empty string, got {self.field!r}")
         if not self.high >= self.low:
             raise SweepError(
@@ -192,37 +170,35 @@ class RandomAxis:
             return int(round(value))
         return value
 
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "field": self.field,
-            "low": self.low,
-            "high": self.high,
-            "random": True,
-        }
-        if self.log:
-            data["log"] = True
-        if self.integer:
-            data["integer"] = True
-        return data
+
+def _axis(value: Any, path: str) -> Any:
+    """A grid or a random axis from its dict form.
+
+    An axis is random when it says ``"random": true`` or gives ``low``
+    without ``values``; anything else is a grid axis.
+    """
+    if not isinstance(value, Mapping):
+        return value
+    if value.get("random") or ("low" in value and "values" not in value):
+        fields = {key: entry for key, entry in value.items() if key != "random"}
+        return load(RandomAxis, fields, path)
+    return load(GridAxis, value, path)
 
 
-Axis = Union[GridAxis, RandomAxis]
+Axis = Annotated[Union[GridAxis, RandomAxis], _axis]
 
 
 @dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Spec):
     """One explicit sweep point: a label plus a dotted-path override dict."""
 
     label: str
     overrides: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.label or not isinstance(self.label, str):
+        validate(self)
+        if not self.label:
             raise SweepError(f"point labels must be non-empty strings, got {self.label!r}")
-        object.__setattr__(self, "overrides", dict(self.overrides))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"label": self.label, "overrides": dict(self.overrides)}
 
 
 @dataclass(frozen=True)
@@ -236,7 +212,7 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """A declarative study: base scenario + axes or explicit points."""
 
     base: Scenario
@@ -248,12 +224,7 @@ class SweepSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "points", tuple(self.points))
-        if not isinstance(self.base, Scenario):
-            raise SweepError(
-                f"sweep base must be a Scenario, got {type(self.base).__name__}"
-            )
+        validate(self)
         if self.points and self.axes:
             raise SweepError("a sweep takes either axes or explicit points, not both")
         if not self.points and not self.axes:
@@ -335,55 +306,16 @@ class SweepSpec:
 
     # -- JSON round trip ---------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"base": self.base.to_dict()}
-        if self.name:
-            data["name"] = self.name
-        if self.axes:
-            data["axes"] = [a.to_dict() for a in self.axes]
-        if self.points:
-            data["points"] = [p.to_dict() for p in self.points]
-        if self.samples:
-            data["samples"] = self.samples
-        if self.seed:
-            data["seed"] = self.seed
-        if self.derive_seeds:
-            data["derive_seeds"] = True
-        return data
-
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepSpec":
-        if not isinstance(data, Mapping):
-            raise SweepError(
-                f"a sweep spec must be a JSON object, got {type(data).__name__}"
-            )
-        known = ("base", "axes", "points", "samples", "seed", "derive_seeds", "name")
-        for key in data:
-            if key not in known:
-                raise SweepError(
-                    f"unknown sweep spec field {key!r}{_suggest(str(key), known)}"
-                )
-        if "base" not in data:
-            raise SweepError("sweep spec is missing the required 'base' scenario")
         try:
-            base = Scenario.from_dict(data["base"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise SweepError(f"bad base scenario: {exc}") from exc
-        axes = tuple(_axis_from_dict(raw) for raw in data.get("axes", ()))
-        points = tuple(_point_from_dict(raw) for raw in data.get("points", ()))
-        return cls(
-            base=base,
-            axes=axes,
-            points=points,
-            samples=int(data.get("samples", 0)),
-            seed=int(data.get("seed", 0)),
-            derive_seeds=bool(data.get("derive_seeds", False)),
-            name=str(data.get("name", "")),
-        )
+            return load(cls, data)
+        except (TypeError, ValueError) as exc:
+            raise SweepError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
@@ -392,66 +324,3 @@ class SweepSpec:
         except json.JSONDecodeError as exc:
             raise SweepError(f"sweep spec is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-
-def _axis_from_dict(raw: object) -> Axis:
-    if not isinstance(raw, Mapping):
-        raise SweepError(f"each axis must be a JSON object, got {type(raw).__name__}")
-    if "field" not in raw:
-        raise SweepError(f"axis {dict(raw)!r} is missing the required 'field'")
-    if raw.get("random") or ("low" in raw and "high" in raw and "values" not in raw):
-        known = ("field", "low", "high", "log", "integer", "random")
-        for key in raw:
-            if key not in known:
-                raise SweepError(
-                    f"unknown random-axis field {key!r} on axis "
-                    f"{raw['field']!r}{_suggest(str(key), known)}"
-                )
-        missing = [key for key in ("low", "high") if key not in raw]
-        if missing:
-            raise SweepError(
-                f"random axis {raw['field']!r} is missing {', '.join(repr(m) for m in missing)}"
-            )
-        return RandomAxis(
-            field=str(raw["field"]),
-            low=float(raw["low"]),
-            high=float(raw["high"]),
-            log=bool(raw.get("log", False)),
-            integer=bool(raw.get("integer", False)),
-        )
-    known = ("field", "values", "labels")
-    for key in raw:
-        if key not in known:
-            raise SweepError(
-                f"unknown grid-axis field {key!r} on axis "
-                f"{raw['field']!r}{_suggest(str(key), known)}"
-            )
-    if "values" not in raw:
-        raise SweepError(
-            f"grid axis {raw['field']!r} is missing 'values' "
-            "(or 'low'/'high' for a random axis)"
-        )
-    labels = raw.get("labels")
-    return GridAxis(
-        field=str(raw["field"]),
-        values=tuple(raw["values"]),
-        labels=tuple(labels) if labels is not None else None,
-    )
-
-
-def _point_from_dict(raw: object) -> PointSpec:
-    if not isinstance(raw, Mapping):
-        raise SweepError(f"each point must be a JSON object, got {type(raw).__name__}")
-    known = ("label", "overrides")
-    for key in raw:
-        if key not in known:
-            raise SweepError(f"unknown point field {key!r}{_suggest(str(key), known)}")
-    if "label" not in raw:
-        raise SweepError(f"point {dict(raw)!r} is missing the required 'label'")
-    overrides = raw.get("overrides", {})
-    if not isinstance(overrides, Mapping):
-        raise SweepError(
-            f"point {raw['label']!r} overrides must be a JSON object, "
-            f"got {type(overrides).__name__}"
-        )
-    return PointSpec(label=str(raw["label"]), overrides=dict(overrides))

@@ -14,8 +14,9 @@ telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
-from typing import Any, Dict, Optional
+from typing import Optional
+
+from repro.spec import Spec, validate
 
 #: Default cap on stored trace events (spans + instants).  Million-invocation
 #: runs emit a handful of events per task; the cap bounds memory and the
@@ -25,18 +26,9 @@ DEFAULT_MAX_EVENTS = 1_000_000
 #: Gauge-sampling interval used when only progress reporting was requested.
 _PROGRESS_DRIVE_INTERVAL = 1.0
 
-#: (field, accepted type, what the error message says it must be).
-_FIELD_TYPES = (
-    ("trace", bool, "a bool"),
-    ("sample_interval", Real, "a number or None"),
-    ("progress", bool, "a bool"),
-    ("progress_interval", Real, "a number"),
-    ("max_events", Integral, "an integer or None"),
-)
-
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(Spec):
     """Tuning knobs of the telemetry subsystem.
 
     Attributes:
@@ -65,14 +57,7 @@ class TelemetrySpec:
     def __post_init__(self) -> None:
         # Reject wrong types by name: a truthy string like "false" must not
         # quietly switch tracing on, nor a bool pass for a number.
-        for name, kind, expected in _FIELD_TYPES:
-            value = getattr(self, name)
-            if value is None and expected.endswith("None"):
-                continue
-            if not isinstance(value, kind) or (
-                kind is not bool and isinstance(value, bool)
-            ):
-                raise TypeError(f"{name} must be {expected}, got {value!r}")
+        validate(self)
         if self.sample_interval is not None and self.sample_interval <= 0:
             raise ValueError(
                 f"sample_interval must be positive when set, got "
@@ -105,24 +90,3 @@ class TelemetrySpec:
         from repro.telemetry.runtime import Telemetry
 
         return Telemetry(self)
-
-    # ------------------------------------------------------------ serialising
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict, omitting fields left at their defaults."""
-        data: Dict[str, Any] = {}
-        if not self.trace:
-            data["trace"] = False
-        if self.sample_interval is not None:
-            data["sample_interval"] = self.sample_interval
-        if self.progress:
-            data["progress"] = True
-        if self.progress_interval != 5.0:
-            data["progress_interval"] = self.progress_interval
-        if self.max_events != DEFAULT_MAX_EVENTS:
-            data["max_events"] = self.max_events
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TelemetrySpec":
-        return cls(**data)

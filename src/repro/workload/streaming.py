@@ -38,6 +38,7 @@ except ImportError:  # pragma: no cover - the stdlib fallback is the tested path
     _pd = None
 
 from repro.simulation.task import Task
+from repro.spec import Spec, validate
 from repro.workload.azure import AzureTraceConfig, FunctionProfile, SyntheticAzureTrace
 from repro.workload.calibration import CalibrationTable, default_calibration_table
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
@@ -72,7 +73,7 @@ class StreamingWorkload:
 
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Spec):
     """How a :class:`~repro.scenario.scenario.Scenario` replays a stream.
 
     ``chunk``/``low_water`` control event feeding (see ``submit_stream``);
@@ -89,6 +90,7 @@ class StreamSpec:
     trace_csv: Optional[str] = None
 
     def __post_init__(self) -> None:
+        validate(self)
         if self.chunk <= 0:
             raise ValueError(f"chunk must be positive, got {self.chunk!r}")
         if self.low_water is not None and self.low_water < 0:
@@ -102,26 +104,6 @@ class StreamSpec:
                 f"unknown metrics_policy {self.metrics_policy!r}; "
                 f"expected one of {METRICS_POLICIES}"
             )
-
-    def to_dict(self) -> dict:
-        data: dict = {}
-        if self.chunk != 8192:
-            data["chunk"] = self.chunk
-        if self.low_water is not None:
-            data["low_water"] = self.low_water
-        if self.metrics_cap is not None:
-            data["metrics_cap"] = self.metrics_cap
-        if self.metrics_policy != "reservoir":
-            data["metrics_policy"] = self.metrics_policy
-        if self.spill_dir is not None:
-            data["spill_dir"] = self.spill_dir
-        if self.trace_csv is not None:
-            data["trace_csv"] = self.trace_csv
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamSpec":
-        return cls(**data)
 
 
 class StreamFeed:
@@ -270,6 +252,10 @@ _DEFAULT_MEMORY_SIZES = (128, 256, 512, 1024)
 _DEFAULT_MEMORY_WEIGHTS = (0.5, 0.25, 0.15, 0.1)
 
 
+class TraceFormatError(ValueError):
+    """A trace file that is not an Azure invocation-count CSV."""
+
+
 def _default_profile_draws(seed: int, index: int) -> tuple:
     rng = np.random.default_rng((seed, index))
     duration = float(np.clip(rng.lognormal(mean=-1.0, sigma=1.2), 0.001, 300.0))
@@ -285,7 +271,7 @@ def _rows_to_profiles(
     """(profiles, minutes) from dict-rows of the invocation-count format."""
     count_columns = sorted((c for c in header if c.strip().isdigit()), key=int)
     if not count_columns:
-        raise ValueError(
+        raise TraceFormatError(
             "not an Azure invocation-count CSV: no numeric per-minute columns "
             '("1", "2", ...) in the header'
         )
@@ -313,7 +299,7 @@ def _rows_to_profiles(
             )
         )
     if not profiles:
-        raise ValueError("the invocation-count CSV has no function rows")
+        raise TraceFormatError("the invocation-count CSV has no function rows")
     return profiles, minutes
 
 
@@ -339,7 +325,7 @@ def load_invocation_csv(path: str, seed: int = 42) -> SyntheticAzureTrace:
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
-                raise ValueError(f"empty invocation-count CSV: {path}")
+                raise TraceFormatError(f"empty invocation-count CSV: {path}")
             profiles, minutes = _rows_to_profiles(reader.fieldnames, iter(reader), seed)
     config = AzureTraceConfig(
         num_functions=len(profiles), minutes=max(minutes, 2), seed=seed
@@ -378,6 +364,7 @@ __all__ = [
     "StreamFeed",
     "StreamSpec",
     "StreamingWorkload",
+    "TraceFormatError",
     "csv_stream_source",
     "load_invocation_csv",
     "trace_stream_source",

@@ -227,6 +227,11 @@ class TestScenarioWiring:
         path.write_text(self.cluster_scenario().to_json())
         assert run_cli(["--scenario", str(path), "--chaos", "bogus=1"]) == 2
         assert run_cli(["--scenario", str(path), "--chaos", "crash_rate"]) == 2
+        capsys.readouterr()
+        assert run_cli(["--scenario", str(path), "--chaos", "crash_rat=1"]) == 2
+        assert "did you mean 'crash_rate'" in capsys.readouterr().err
+        assert run_cli(["--scenario", str(path), "--chaos", "max_failures=x"]) == 2
+        assert "max_failures must be an integer" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ seed isolation

@@ -611,6 +611,19 @@ class TestRunnerStreamFlags:
         assert rc == 2
         assert capsys.readouterr().err == f"error: trace CSV {missing} not found\n"
 
+    def test_malformed_trace_csv_fails_cleanly(self, tmp_path, capsys):
+        from repro.experiments.runner import run_cli
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        rc = run_cli(
+            ["--scenario", str(self.write_scenario(tmp_path)), "--trace-csv", str(bad)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: trace CSV {bad}: not an Azure invocation-count CSV"
+        )
+
     def test_stream_flags_require_scenario(self, capsys):
         from repro.experiments.runner import run_cli
 

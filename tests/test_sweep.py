@@ -370,7 +370,9 @@ class TestScenarioLibrary:
                 spec = SweepSpec.from_dict(payload)
                 assert spec.expand()
             else:
-                assert Scenario.from_dict(payload).workload is not None
+                spec = Scenario.from_dict(payload)
+                assert spec.workload is not None
+            assert type(spec).from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_runner_sweep_flag(self, tmp_path, capsys):
         from repro.experiments.runner import run_cli

@@ -1,6 +1,7 @@
 """Seeded stochastic fault injector driven off the shared event queue.
 
-The injector arms every node the cluster creates: for each enabled
+The injector arms every node the cluster commissions (it subscribes to the
+``node_changed`` hook): for each enabled
 revocation process (crash / spot) it draws one exponential inter-arrival
 from its **own** random stream — ``random.Random(f"chaos-{seed}")``,
 isolated from workload generation and randomized dispatchers so enabling
@@ -25,6 +26,7 @@ from typing import Optional, Tuple
 from repro.chaos.spec import ChaosSpec
 from repro.cluster.node import ClusterNode, NodeState
 from repro.simulation.events import EventPriority
+from repro.spec import check
 
 
 class ChaosInjector:
@@ -42,6 +44,16 @@ class ChaosInjector:
         self.revocations = 0
         self.escapes = 0
         self._failures_fired = 0
+
+    def attach(self, cluster) -> None:
+        """Wire onto ``cluster``: arm every node it commissions (initial
+        fleet, scale-ups, replacements).  Chaos can wipe out the fleet."""
+        cluster.fleet_can_be_wiped = True
+        cluster.hooks.subscribe("node_changed", self._on_node_changed)
+
+    def _on_node_changed(self, node: ClusterNode, what: str, now: float) -> None:
+        if what == "commission":
+            self.arm(node)
 
     # ----------------------------------------------------------------- rates
 
@@ -140,11 +152,10 @@ class ChaosInjector:
 
 
 def build_injector(spec: Optional[ChaosSpec], cluster) -> Optional[ChaosInjector]:
-    """Coerce a constructor argument (spec, dict, or None) to an injector."""
+    """Coerce a constructor argument (spec, dict, or None: the cluster
+    config's spec) to an injector; None when there is no spec."""
+    if spec is None:
+        spec = cluster.config.chaos
     if spec is None:
         return None
-    if isinstance(spec, dict):
-        spec = ChaosSpec.from_dict(spec)
-    elif not isinstance(spec, ChaosSpec):
-        raise TypeError(f"chaos must be a ChaosSpec or dict, got {spec!r}")
-    return ChaosInjector(spec, cluster)
+    return ChaosInjector(check(spec, ChaosSpec, "chaos"), cluster)

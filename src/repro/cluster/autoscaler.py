@@ -109,8 +109,16 @@ class ReactiveAutoscaler:
         self._last_action_time: float = float("-inf")
 
     def attach(self, cluster) -> None:
-        """Bind this autoscaler to a cluster (called by the cluster)."""
+        """Wire onto ``cluster``: a control tick every check interval from
+        the run's start and a replacement for every failed node, so it can
+        regrow a fleet that lost every node."""
         self.cluster = cluster
+        cluster.fleet_can_regrow = True
+        cluster.hooks.subscribe("run_started", self._start)
+        cluster.hooks.subscribe("node_failed", self.on_node_failure)
+
+    def _start(self, now: float) -> None:
+        self.cluster.every(self.config.check_interval, self.on_tick, "autoscaler-tick")
 
     # ----------------------------------------------------------------- signal
 
@@ -121,7 +129,7 @@ class ReactiveAutoscaler:
     # ------------------------------------------------------------------- tick
 
     def on_tick(self, now: float) -> None:
-        """One control decision; called by the cluster every check interval."""
+        """One control decision, made every check interval."""
         load = self.fleet_load()
         self.cluster.record_series("autoscaler.load", load)
         if now - self._last_action_time < self.config.cooldown:
@@ -145,7 +153,7 @@ class ReactiveAutoscaler:
     # ---------------------------------------------------------------- failure
 
     def on_node_failure(self, node, now: float) -> None:
-        """Replace revoked capacity like-for-like; called by the cluster.
+        """Replace revoked capacity like-for-like (the ``node_failed`` hook).
 
         Replacement is event-driven, not cooldown-gated: losing a node is
         the provider's doing, not flapping, and waiting a control interval

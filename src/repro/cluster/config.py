@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.firecracker.microvm import MicroVMSpec
 from repro.simulation.config import SimulationConfig
-from repro.spec import Spec, validate
+from repro.spec import Spec, check, validate
 
 #: Default node cold-start delay: one Firecracker microVM boot (~125 ms).
 DEFAULT_NODE_BOOT_TIME = MicroVMSpec().boot_time
@@ -258,12 +258,7 @@ class ClusterConfig:
             # cluster modules, so the dependency stays one-way at import time.
             from repro.chaos.spec import ChaosSpec
 
-            if isinstance(self.chaos, dict):
-                object.__setattr__(self, "chaos", ChaosSpec.from_dict(self.chaos))
-            elif not isinstance(self.chaos, ChaosSpec):
-                raise TypeError(
-                    f"chaos must be a ChaosSpec or dict, got {self.chaos!r}"
-                )
+            object.__setattr__(self, "chaos", check(self.chaos, ChaosSpec, "chaos"))
 
     # ------------------------------------------------------------------ fleet
 

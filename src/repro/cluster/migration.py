@@ -69,10 +69,10 @@ class Migration:
 class MigrationPolicy(ABC):
     """Abstract base for inter-node migration policies.
 
-    The cluster calls :meth:`plan` on every migration tick with the full
-    node list (any state); the policy returns the moves to execute this
-    tick.  The cluster validates and applies them, charging ``delay``
-    seconds of transfer time per task.
+    Once attached, the cluster calls :meth:`plan` on every migration tick
+    (and on every drain) with the full node list (any state); the policy
+    returns the moves to execute this tick.  The cluster validates and
+    applies them, charging ``delay`` seconds of transfer time per task.
     """
 
     #: Short machine-readable name, used by the registry and result labels.
@@ -93,6 +93,22 @@ class MigrationPolicy(ABC):
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         self.interval = interval
         self.delay = delay
+
+    def attach(self, cluster) -> None:
+        """Wire onto ``cluster``: a migration pass every ``interval`` from
+        the run's start, and a rescue pass the moment a node starts to
+        drain, so its queued work is stolen instead of trickling out."""
+        self.cluster = cluster
+        cluster.hooks.subscribe("run_started", self._start)
+        cluster.hooks.subscribe("node_changed", self._on_node_changed)
+
+    def _start(self, now: float) -> None:
+        cluster = self.cluster
+        cluster.every(self.interval, cluster._run_migration_pass, "migration-tick")
+
+    def _on_node_changed(self, node: "ClusterNode", what: str, now: float) -> None:
+        if what == "drain" and self.cluster._running:
+            self.cluster._run_migration_pass(now)
 
     @abstractmethod
     def plan(self, nodes: Sequence["ClusterNode"], now: float) -> List[Migration]:

@@ -8,7 +8,7 @@ touching experiment code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.dispatchers import (
     ConsistentHashDispatcher,
@@ -84,6 +84,13 @@ def create_migration_policy(name: str, **kwargs) -> MigrationPolicy:
             f"{', '.join(sorted(_MIGRATION_REGISTRY))}"
         )
     return _MIGRATION_REGISTRY[key](**kwargs)
+
+
+def build_migration_policy(config) -> Optional[MigrationPolicy]:
+    """The migration policy a cluster config names, or None for none."""
+    if config.migration is None:
+        return None
+    return create_migration_policy(config.migration, **config.migration_kwargs)
 
 
 def available_migration_policies() -> List[str]:

@@ -27,7 +27,7 @@ from repro.cluster.dispatchers import Dispatcher, bound_work, normalized_load
 from repro.cluster.load_index import ActiveNodeView, NodeLoadIndex
 from repro.cluster.migration import Migration, MigrationPolicy
 from repro.cluster.node import ClusterNode, NodeState
-from repro.cluster.registry import create_dispatcher, create_migration_policy
+from repro.cluster.registry import build_migration_policy, create_dispatcher
 from repro.cluster.results import ClusterResult, per_node_results
 from repro.middleware.base import ADMIT_TAG, DEFER, TIMEOUT_TAG, MiddlewareChain
 from repro.schedulers.registry import create_scheduler
@@ -37,7 +37,6 @@ from repro.simulation.events import EventPriority
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import record_series
 from repro.simulation.task import Task
-from repro.telemetry.probe import TelemetryProbe
 
 
 #: Tag of a lost task's re-admission event (payload: the task).  Unlike a
@@ -46,8 +45,8 @@ READMIT_TAG = "readmit"
 
 
 class ClusterSimulator(EventLoop):
-    """Event-driven fleet simulator: dispatcher + N machines + autoscaler
-    + optional work-stealing migration, all on one :class:`EventLoop`."""
+    """Event-driven fleet simulator: dispatcher + N machines on one
+    :class:`EventLoop`; optional features attach to its hooks and timers."""
 
     def __init__(
         self,
@@ -76,20 +75,12 @@ class ClusterSimulator(EventLoop):
         # Node engines share this config's time limit and sampling settings.
         self._loop_config = self.config.build_node_config()
         self.dispatcher = dispatcher or self._build_dispatcher()
-        self.migration_policy = migration_policy or self._build_migration_policy()
         self.autoscaler = autoscaler
-        if self.autoscaler is not None:
-            self.autoscaler.attach(self)
-        # Ordered middleware chain: its admission verdict is a direct call,
-        # and it observes landings, completions and rejections as a hook-bus
-        # subscriber.  None when no middleware is configured.
-        self._middleware = self._coerce_middleware(middleware)
-        # Fault injector built from an explicit spec or the config's; None
-        # (no spec) arms no failure and draws nothing — the chaos-off path
-        # is the exact pre-chaos code.
-        self._chaos = build_injector(
-            chaos if chaos is not None else self.config.chaos, self
-        )
+        self.migration_policy = migration_policy or build_migration_policy(config)
+        # The middleware chain (empty when none is configured: it then wires
+        # nothing) and the fault injector (None without a chaos spec).
+        self._middleware = MiddlewareChain.build(middleware, config.middleware)
+        self._chaos = build_injector(chaos, self)
         # Incrementally maintained active set + load index: dispatch consults
         # these instead of rescanning the fleet per arrival.
         self._load_index = NodeLoadIndex()
@@ -113,13 +104,23 @@ class ClusterSimulator(EventLoop):
         self.rejected_tasks: List[Task] = []
         self._migrations_inflight = 0
         self._next_node_id = 0
-        # Observers subscribe to the loop's hook bus before the first node
-        # is commissioned; with neither on, every hook tuple stays empty.
-        # Telemetry subscribes first, so it sees each event before the chain.
-        if self.telemetry is not None:
-            TelemetryProbe(self.telemetry).attach_cluster(self)
-        if self._middleware is not None:
-            self._middleware.bind(self)
+        #: What the attached features say about a fleet left with no node
+        #: in service: chaos can wipe one out, an autoscaler can regrow one.
+        self.fleet_can_be_wiped = False
+        self.fleet_can_regrow = False
+        # Each feature wires itself onto the hook bus and the loop's timers
+        # before the first node is commissioned.  Telemetry goes first, so
+        # it sees each event before the rest; the order also fixes the order
+        # in which run-start timers are armed (autoscaler, then migration).
+        for feature in (
+            self.telemetry,
+            self.autoscaler,
+            self.migration_policy,
+            self._middleware,
+            self._chaos,
+        ):
+            if feature is not None:
+                feature.attach(self)
         for spec in self.config.expanded_specs():
             self._create_node(NodeState.ACTIVE, spec)
 
@@ -136,34 +137,6 @@ class ClusterSimulator(EventLoop):
             except TypeError:
                 pass
         return create_dispatcher(self.config.dispatcher, **kwargs)
-
-    def _coerce_middleware(self, middleware) -> Optional[MiddlewareChain]:
-        """Normalise the constructor argument (or config specs) to a chain.
-
-        Accepts a prebuilt :class:`MiddlewareChain`, an iterable of
-        middleware instances, or ``None`` — in which case the chain is built
-        from the config's declarative specs.  Empty chains collapse to
-        ``None`` so a ``middleware: []`` scenario takes the exact
-        pre-middleware code path.
-        """
-        if middleware is None:
-            if not self.config.middleware:
-                return None
-            middleware = MiddlewareChain(
-                [spec.build() for spec in self.config.middleware]
-            )
-        elif not isinstance(middleware, MiddlewareChain):
-            middleware = MiddlewareChain(middleware)
-        if not middleware.middlewares:
-            return None
-        return middleware
-
-    def _build_migration_policy(self) -> Optional[MigrationPolicy]:
-        if self.config.migration is None:
-            return None
-        return create_migration_policy(
-            self.config.migration, **self.config.migration_kwargs
-        )
 
     def _create_node(
         self, state: NodeState, spec: Optional[NodeSpec] = None
@@ -200,10 +173,6 @@ class ClusterSimulator(EventLoop):
         self.nodes.append(node)
         if state is NodeState.ACTIVE:
             self._track_active(node)
-        if self._chaos is not None:
-            # Every node — initial fleet, scale-ups, replacements — gets its
-            # failure times drawn the moment it is commissioned.
-            self._chaos.arm(node)
         return node
 
     # ---------------------------------------------------------------- series
@@ -276,16 +245,14 @@ class ClusterSimulator(EventLoop):
     def drain_node(self, node: ClusterNode) -> None:
         """Stop dispatching to ``node``; it retires once it runs dry.
 
-        With a migration policy attached, the drain immediately triggers a
-        migration pass so the node's queued tasks are stolen by the rest of
+        An attached migration policy answers the ``drain`` hook with an
+        immediate pass, so the node's queued tasks are stolen by the rest of
         the fleet instead of trickling out behind its running work.
         """
         node.start_draining()
+        self._untrack_active(node)
         for hook in self.hooks.node_changed:
             hook(node, "drain", self.now)
-        self._untrack_active(node)
-        if self.migration_policy is not None and self._running:
-            self._run_migration_pass()
         if node.state is NodeState.DRAINING and bound_work(node) == 0:
             self._retire_node(node)
         self._record_fleet_size()
@@ -305,8 +272,8 @@ class ClusterSimulator(EventLoop):
 
         Every queued and running task it held forfeits its progress and
         re-enters through the ordinary ARRIVAL re-admission path (so retry
-        and shedding middleware see it again); an attached autoscaler gets
-        the chance to replace the lost capacity immediately.
+        and shedding middleware see it again); then ``node_failed`` fires,
+        on which an attached autoscaler replaces the lost capacity.
         """
         if node.state.terminal:
             return
@@ -318,8 +285,8 @@ class ClusterSimulator(EventLoop):
             hook(node, reason, self.now)
         for task in lost:
             self._lose_task(task, node)
-        if self.autoscaler is not None:
-            self.autoscaler.on_node_failure(node, self.now)
+        for hook in self.hooks.node_failed:
+            hook(node, self.now)
         self._record_fleet_size()
 
     def _lose_task(self, task: Task, node: ClusterNode) -> None:
@@ -367,7 +334,7 @@ class ClusterSimulator(EventLoop):
             return True
         # A chaos-wiped fleet is not the end: an attached autoscaler's next
         # tick sees the parked backlog as infinite load and regrows it.
-        return self._chaos is not None and self.autoscaler is not None
+        return self.fleet_can_be_wiped and self.fleet_can_regrow
 
     # ----------------------------------------------------------- event loop
 
@@ -393,7 +360,10 @@ class ClusterSimulator(EventLoop):
             node.complete_ingress(task, self.now)
         elif tag == READMIT_TAG:
             self._pending_arrivals -= 1
-            self._on_arrival(event.payload)
+            task = event.payload
+            for hook in self.hooks.task_arrived:
+                hook(task, self.now)
+            self._on_arrival(task)
         elif tag == ADMIT_TAG:
             # A deferred or retried task re-enters through the full admission
             # path so every middleware sees it again.
@@ -408,11 +378,7 @@ class ClusterSimulator(EventLoop):
             super()._dispatch_other(event)
 
     def _on_arrival(self, task: Task) -> None:
-        for hook in self.hooks.task_arrived:
-            hook(task, self.clock.now)
-        if self._middleware is not None:
-            self._admit(task)
-            return
+        # An attached middleware chain replaces this handler with _admit.
         self._dispatch(task)
 
     def _on_completion(self, core) -> None:
@@ -495,8 +461,8 @@ class ClusterSimulator(EventLoop):
             # Only a fleet retired for good with no way back is a hard
             # error (silently dropping the task would corrupt accounting).
             recoverable = (
-                self.autoscaler is not None
-                or self._chaos is not None
+                self.fleet_can_be_wiped
+                or self.fleet_can_regrow
                 or any(not node.state.terminal for node in self.nodes)
             )
             if not recoverable:
@@ -536,11 +502,11 @@ class ClusterSimulator(EventLoop):
 
     # -------------------------------------------------------------- migration
 
-    def _run_migration_pass(self) -> None:
+    def _run_migration_pass(self, now: float) -> None:
         """One tick of the migration policy: plan, validate, execute."""
-        plans = self.migration_policy.plan(self.nodes, self.now)
+        plans = self.migration_policy.plan(self.nodes, now)
         for hook in self.hooks.migration_planned:
-            hook(plans, self.now)
+            hook(plans, now)
         for plan in plans:
             self._execute_migration(plan)
         self.record_series(
@@ -639,7 +605,7 @@ class ClusterSimulator(EventLoop):
         survivors = [n for n in self.nodes if n.state is NodeState.DRAINING]
         if survivors:
             return min(survivors, key=lambda n: (normalized_load(n), n.node_id)), True
-        if self.autoscaler is not None or self._chaos is not None:
+        if self.fleet_can_be_wiped or self.fleet_can_regrow:
             # The fleet was wiped mid-flight (failures faster than the
             # transfer): wait for the replacement/scale-up instead of dying.
             return None, False
@@ -656,32 +622,14 @@ class ClusterSimulator(EventLoop):
         for node in self.active_nodes():
             node.activate(self.now)  # already ACTIVE; fires scheduler.on_start once
         self._record_fleet_size()
-        if self.telemetry is not None:
-            self._start_progress()
-        if self.autoscaler is not None:
-            self._schedule_autoscaler_tick()
-        if self.migration_policy is not None:
-            self._schedule_migration_tick()
-        self._start_utilization()
-        self._drain(
-            until if until is not None else self._loop_config.max_simulated_time
-        )
-        telemetry_snapshot = self._finish_run()
+        telemetry_snapshot = self._run(until)
         wall = _wallclock.perf_counter() - started
         return ClusterResult(
             dispatcher_name=getattr(
                 self.dispatcher, "name", type(self.dispatcher).__name__
             ),
             scheduler_name=self.config.scheduler,
-            migration_policy_name=(
-                getattr(
-                    self.migration_policy,
-                    "name",
-                    type(self.migration_policy).__name__,
-                )
-                if self.migration_policy is not None
-                else None
-            ),
+            migration_policy_name=getattr(self.migration_policy, "name", None),
             config=self.config,
             tasks=list(self.tasks),
             node_results=per_node_results(
@@ -742,46 +690,10 @@ class ClusterSimulator(EventLoop):
             tasks_rejected=self.tasks_rejected,
             tasks_lost=self.tasks_lost,
             wasted_service=self.wasted_service,
-            middleware_names=(
-                self._middleware.names() if self._middleware is not None else []
-            ),
-            middleware_stats=(
-                self._middleware.stats() if self._middleware is not None else {}
-            ),
+            middleware_names=self._middleware.names(),
+            middleware_stats=self._middleware.stats(),
             telemetry=telemetry_snapshot,
             tasks_submitted=self._tasks_submitted,
-        )
-
-    # ------------------------------------------------------------- autoscaler
-
-    def _schedule_autoscaler_tick(self) -> None:
-        interval = self.autoscaler.config.check_interval
-
-        def _tick() -> None:
-            self.autoscaler.on_tick(self.now)
-            if self._work_can_progress():
-                self._schedule_autoscaler_tick()
-
-        self.events.push(
-            self.now + interval,
-            _tick,
-            priority=EventPriority.CONTROL,
-            tag="autoscaler-tick",
-        )
-
-    def _schedule_migration_tick(self) -> None:
-        interval = self.migration_policy.interval
-
-        def _tick() -> None:
-            self._run_migration_pass()
-            if self._work_can_progress():
-                self._schedule_migration_tick()
-
-        self.events.push(
-            self.now + interval,
-            _tick,
-            priority=EventPriority.CONTROL,
-            tag="migration-tick",
         )
 
 

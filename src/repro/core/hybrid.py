@@ -112,8 +112,16 @@ class HybridScheduler(Scheduler):
         self.sim.record_series("cfs_cores", self.machine.group_size(CFS_GROUP))
         if self.hconfig.rightsizing:
             self.sampler.prime(self.machine.cores, self.now)
-            self._schedule_sampling()
-            self._schedule_rightsizing()
+            self.sim.schedule_every(
+                self.hconfig.utilization_sample_interval,
+                lambda now: self.sampler.sample(self.machine.cores, now),
+                "hybrid-utilization-sample",
+            )
+            self.sim.schedule_every(
+                self.hconfig.rightsizing_interval,
+                self._rightsizing_tick,
+                "hybrid-rightsizing",
+            )
 
     def on_task_arrival(self, task: Task) -> None:
         core = self.first_idle_core(FIFO_GROUP)
@@ -197,33 +205,12 @@ class HybridScheduler(Scheduler):
 
     # ------------------------------------------------------------- monitoring
 
-    def _schedule_sampling(self) -> None:
-        self.sim.schedule_timer(
-            self.hconfig.utilization_sample_interval,
-            self._sampling_tick,
-            tag="hybrid-utilization-sample",
-        )
-
-    def _sampling_tick(self) -> None:
-        self.sampler.sample(self.machine.cores, self.now)
-        if self.sim.has_pending_work():
-            self._schedule_sampling()
-
-    def _schedule_rightsizing(self) -> None:
-        self.sim.schedule_timer(
-            self.hconfig.rightsizing_interval,
-            self._rightsizing_tick,
-            tag="hybrid-rightsizing",
-        )
-
-    def _rightsizing_tick(self) -> None:
-        decision = self.rightsizer.evaluate(self.now) if self.rightsizer else None
+    def _rightsizing_tick(self, now: float) -> None:
+        decision = self.rightsizer.evaluate(now) if self.rightsizer else None
         if decision is not None:
             self._execute_migration(decision)
         self.sim.record_series("fifo_cores", self.machine.group_size(FIFO_GROUP))
         self.sim.record_series("cfs_cores", self.machine.group_size(CFS_GROUP))
-        if self.sim.has_pending_work():
-            self._schedule_rightsizing()
 
     # --------------------------------------------------------- core migration
 

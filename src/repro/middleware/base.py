@@ -81,7 +81,7 @@ class Middleware(ABC):
     Subclasses override any subset of the hooks; the base implementations
     are no-ops and overriding none of them is legal (if pointless).  State
     needed at hook time (the cluster and its telemetry) is reached through
-    :attr:`chain`, assigned when the chain binds to its cluster.
+    :attr:`chain`, assigned when the chain attaches to its cluster.
     """
 
     #: Registry name; also the default rejection reason and stats key.
@@ -124,7 +124,8 @@ class Middleware(ABC):
 
 
 class MiddlewareChain:
-    """Ordered middleware stack held by one :class:`ClusterSimulator`.
+    """Ordered middleware stack held by one :class:`ClusterSimulator`
+    (possibly empty: then it attaches nothing).
 
     Hook dispatch is precomputed per hook kind: only middlewares that
     actually override a hook are called, and the chain subscribes to the
@@ -156,12 +157,17 @@ class MiddlewareChain:
 
     # ----------------------------------------------------------------- wiring
 
-    def bind(self, cluster: "ClusterSimulator") -> None:
-        """Point the chain (and every middleware) at its cluster and
-        subscribe the observed hooks to the cluster's hook bus."""
+    def attach(self, cluster: "ClusterSimulator") -> None:
+        """Wire onto ``cluster``: point every middleware at it, put the
+        admission pass in front of dispatch and subscribe the observed
+        hooks.  An empty chain wires nothing (the middleware-free path)."""
         self.cluster = cluster
+        if not self.middlewares:
+            return
         for mw in self.middlewares:
             mw.bind(self)
+        # Chosen once here: each arrival goes straight to the admission pass.
+        cluster._on_arrival = cluster._admit
         hooks = cluster.hooks
         if self._land_hooks:
             hooks.subscribe("task_landed", self.on_land)
@@ -211,6 +217,17 @@ class MiddlewareChain:
 
     def __len__(self) -> int:
         return len(self.middlewares)
+
+    @classmethod
+    def build(cls, middleware, specs) -> "MiddlewareChain":
+        """Coerce a constructor argument to a chain: a prebuilt chain, an
+        iterable of middleware instances, or ``None`` to build ``specs``
+        (the config's declarative entries)."""
+        if isinstance(middleware, cls):
+            return middleware
+        if middleware is None:
+            middleware = [spec.build() for spec in specs]
+        return cls(middleware)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MiddlewareChain({' -> '.join(self.names()) or 'empty'})"

@@ -53,7 +53,9 @@ class CFSScheduler(Scheduler):
 
     def on_start(self) -> None:
         if self.enable_load_balancing:
-            self._schedule_balance()
+            self.sim.schedule_every(
+                self.balance_interval, self._balance_once, "cfs-load-balance"
+            )
 
     def on_task_arrival(self, task: Task) -> None:
         core = self._pick_core()
@@ -73,17 +75,7 @@ class CFSScheduler(Scheduler):
 
     # --------------------------------------------------------- load balancing
 
-    def _schedule_balance(self) -> None:
-        self.sim.schedule_timer(
-            self.balance_interval, self._run_balance_pass, tag="cfs-load-balance"
-        )
-
-    def _run_balance_pass(self) -> None:
-        self._balance_once()
-        if self.sim.has_pending_work():
-            self._schedule_balance()
-
-    def _balance_once(self) -> None:
+    def _balance_once(self, now: float) -> None:
         """Move one task from the busiest to the idlest core when imbalanced."""
         cores = [
             core

@@ -58,8 +58,8 @@ class EventLoop:
     Subclasses route events and name the machines the loop drives:
 
     * ``_on_arrival(task)`` / ``_on_completion(core)`` handle the two
-      payload events every run has; ``_dispatch_other(event)`` any other
-      callback-free event;
+      payload events every run has (the loop fires ``task_arrived`` first);
+      ``_dispatch_other(event)`` any other callback-free event;
     * ``_engines()`` lists every :class:`MachineEngine` on the loop (flushed
       and sampled at the end of a run), ``_sampled_engines()`` the ones the
       periodic utilization sampler visits;
@@ -204,7 +204,10 @@ class EventLoop:
                 and self._tasks_fed - self._tasks_submitted <= self._stream_low_water
             ):
                 self._refill_stream()
-            self._on_arrival(event.payload)
+            task = event.payload
+            for hook in self.hooks.task_arrived:
+                hook(task, self.clock.now)
+            self._on_arrival(task)
         elif tag == SAMPLER_TAG:
             event.payload.on_tick()
         else:
@@ -249,41 +252,66 @@ class EventLoop:
 
     # ---------------------------------------------------- run prologue/epilogue
 
-    def _start_progress(self) -> None:
-        """Bind telemetry progress to the feed and arm the gauge sampler."""
-        total = self._stream_total if self._stream is not None else len(self.tasks)
-        self.telemetry.bind_progress(
-            total, lambda: self._tasks_submitted - self._unfinished
-        )
-        self.telemetry.start(self.events, self.clock, self._work_can_progress)
+    def every(
+        self, interval: float, tick, tag: str, *,
+        priority: EventPriority = EventPriority.CONTROL, can_continue=None,
+    ) -> None:
+        """Call ``tick(now)`` every ``interval`` simulated seconds from now on.
 
-    def _start_utilization(self) -> None:
-        """Open every engine's utilization window and arm the sampler."""
+        Every periodic timer of a run rides this one primitive: one event
+        that runs ``tick`` and re-arms itself while ``can_continue()``
+        holds (by default :meth:`_work_can_progress`).
+        """
+        can_continue = can_continue or self._work_can_progress
+        push, clock = self.events.push, self.clock
+
+        def fire() -> None:
+            tick(clock.now)
+            if can_continue():
+                push(clock.now + interval, fire, priority=priority, tag=tag)
+
+        push(clock.now + interval, fire, priority=priority, tag=tag)
+
+    def _run(self, until: Optional[float]):
+        """Drain the run to ``until`` (default: the time limit) and flush;
+        returns the telemetry snapshot (None when off).
+
+        First the run's timers are armed in a fixed order: telemetry's gauge
+        sampler (with progress bound to the feed), each feature's on
+        ``run_started``, utilization sampling.
+        """
+        now = self.clock.now
+        telemetry = self.telemetry
+        if telemetry is not None:
+            total = self._stream_total if self._stream is not None else len(self.tasks)
+            telemetry.bind_progress(
+                total, lambda: self._tasks_submitted - self._unfinished
+            )
+            telemetry.start(self.events, self.clock, self._work_can_progress)
+        for hook in self.hooks.run_started:
+            hook(now)
         if self._loop_config.record_utilization:
             for engine in self._engines():
                 engine.collector.start_utilization_window(
-                    engine.machine.cores, self.now
+                    engine.machine.cores, now
                 )
             self._schedule_utilization_sample()
+        self._drain(
+            until if until is not None else self._loop_config.max_simulated_time
+        )
+        return self._finish_run()
 
     def _schedule_utilization_sample(self) -> None:
         window = self._loop_config.utilization_window
 
-        def _sample() -> None:
+        def _sample(now: float) -> None:
             for engine in self._sampled_engines():
                 if engine.machine.cores:
                     engine.collector.sample_utilization(
-                        engine.machine.cores, self.now, window=window
+                        engine.machine.cores, now, window=window
                     )
-            if self._work_can_progress():
-                self._schedule_utilization_sample()
 
-        self.events.push(
-            self.now + window,
-            _sample,
-            priority=EventPriority.CONTROL,
-            tag="utilization-sample",
-        )
+        self.every(window, _sample, "utilization-sample")
 
     def _finish_run(self):
         """End-of-run flush; returns the telemetry snapshot (None when off)."""
@@ -377,6 +405,14 @@ class MachineEngine:
         if delay < 0:
             raise ValueError(f"timer delay must be >= 0, got {delay!r}")
         return self.schedule_at(self.clock.now + delay, callback, tag=tag)
+
+    def schedule_every(self, interval: float, tick, tag: str) -> None:
+        """A scheduler's periodic timer: :meth:`EventLoop.every` at ``TIMER``
+        priority, re-armed while :meth:`has_pending_work` holds."""
+        self.loop.every(
+            interval, tick, tag,
+            priority=EventPriority.TIMER, can_continue=self.has_pending_work,
+        )
 
     def record_series(self, name: str, value: float) -> None:
         """Record one point of a named time series at the current time."""
@@ -478,10 +514,7 @@ class Simulator(EventLoop, MachineEngine):
     def _on_arrival(self, task: Task) -> None:
         task.mark_queued()
         now = self.clock.now
-        hooks = self.hooks
-        for hook in hooks.task_arrived:
-            hook(task, now)
-        for hook in hooks.task_queued:
+        for hook in self.hooks.task_queued:
             hook(self, task, now)
         self.scheduler.on_task_arrival(task)
 
@@ -490,11 +523,7 @@ class Simulator(EventLoop, MachineEngine):
         started = _wallclock.perf_counter()
         self._running = True
         self.scheduler.on_start()
-        if self.telemetry is not None:
-            self._start_progress()
-        self._start_utilization()
-        self._drain(until if until is not None else self.config.max_simulated_time)
-        telemetry_snapshot = self._finish_run()
+        telemetry_snapshot = self._run(until)
         return build_result(
             scheduler_name=getattr(self.scheduler, "name", type(self.scheduler).__name__),
             config=self.config,

@@ -1,8 +1,9 @@
 """The run's lifecycle-hook bus.
 
 Every simulator fires one named hook per task or node state change, and
-observers (the telemetry probe, the middleware chain) subscribe callbacks to
-the hooks they care about.  The bus holds one tuple of callbacks per hook,
+the features on a run (the telemetry probe, and on a fleet the autoscaler,
+migration policy, middleware chain and fault injector) subscribe callbacks
+to the hooks they care about.  The bus holds one tuple of callbacks per hook,
 so a call site is a loop over a tuple that is empty when nothing listens::
 
     for hook in self.hooks.task_started:
@@ -19,6 +20,8 @@ from typing import Callable, Dict
 #: Hook name -> its arguments; ``now`` is the simulated time and
 #: ``engine.node`` the cluster node (``None`` on a standalone machine).
 HOOKS: Dict[str, str] = {
+    # Fired once as ``run()`` starts: features arm their periodic timers.
+    "run_started": "now",
     # Machine hooks, fired by a MachineEngine or the node delivering to it.
     "task_queued": "engine, task, now",  # waits in the machine's queue
     "task_started": "engine, task, core, now",
@@ -45,6 +48,9 @@ HOOKS: Dict[str, str] = {
     # "escape" (a warned node drained dry in time), or the failure reason
     # ("crash", "revocation") when the node was torn down.
     "node_changed": "node, what, now",
+    # A torn-down node's lost tasks were all re-admitted (fired after the
+    # failure's ``node_changed`` and ``task_lost`` hooks).
+    "node_failed": "node, now",
     "autoscaled": "action, load, now",
 }
 

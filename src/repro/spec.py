@@ -185,7 +185,8 @@ def _plain(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_plain(entry) for entry in value]
     if isinstance(value, Mapping):
-        return dict(value)
+        # Copied all the way down: a dict form shares nothing with its spec.
+        return {key: _plain(entry) for key, entry in value.items()}
     return value
 
 

@@ -106,7 +106,7 @@ class TelemetryProbe:
         tracer.name_track(CLUSTER_PID, DISPATCH_TID, "dispatch")
         tracer.name_track(CLUSTER_PID, AUTOSCALER_TID, "autoscaler")
         tracer.name_track(CLUSTER_PID, MIGRATION_TID, "migration")
-        if cluster._middleware is not None:
+        if cluster._middleware:
             tracer.name_track(CLUSTER_PID, MIDDLEWARE_TID, "middleware")
         if cluster._chaos is not None:
             tracer.name_track(CLUSTER_PID, CHAOS_TID, "chaos")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.gauges import CounterRegistry, GaugeRegistry, GaugeSampler
+from repro.telemetry.probe import TelemetryProbe
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.spec import TelemetrySpec
 from repro.telemetry.tracer import Tracer
@@ -88,6 +89,10 @@ class Telemetry:
         """
         self._progress_total = total
         self._progress_done = done
+
+    def attach(self, cluster) -> None:
+        """Wire onto a fleet: a probe subscribes to the cluster's hooks."""
+        TelemetryProbe(self).attach_cluster(cluster)
 
     def start(self, events, clock, can_continue: Callable[[], bool]) -> None:
         """Arm the gauge sampler on the run's event queue (if configured)."""

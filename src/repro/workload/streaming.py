@@ -282,7 +282,13 @@ def _rows_to_profiles(
         for column in count_columns:
             value = row.get(column)
             if value not in (None, ""):
-                counts[int(column) - 1] = float(value)
+                try:
+                    counts[int(column) - 1] = float(value)
+                except ValueError:
+                    raise TraceFormatError(
+                        f"function row {index + 1}, minute column {column!r}: "
+                        f"count {value!r} is not a number"
+                    ) from None
         duration, memory_mb = _default_profile_draws(seed, index)
         raw_duration = row.get(DURATION_COLUMN)
         if raw_duration not in (None, ""):

@@ -27,6 +27,10 @@ reproduces those numbers within 1e-9.
 its finished-task columns (``task_columns().data.tobytes()``), captured at
 commit ``c2d0c5c`` before the event-loop hot path was rewritten: a run
 matches it only when every finished task's row is bit-identical.
+``cluster_faults`` is the all-features fleet of :mod:`golden_telemetry`
+(RTT, checkpointed stealing, autoscaler, crash and spot chaos and a
+four-stage middleware chain), pinned at commit ``5d5fe8e`` before the
+fleet features moved onto loop hooks.
 
 Regenerate (only when intentionally changing simulation semantics) with::
 
@@ -55,6 +59,8 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
 from repro.simulation.task import Task
+
+from golden_telemetry import run_cluster_faults
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_metrics.json")
 COLUMNS_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_columns.json")
@@ -165,6 +171,7 @@ RUNS: Dict[str, Callable[[], object]] = {
     "hybrid_fig12": run_hybrid_fig12,
     "hetero_cluster_stealing": run_hetero_cluster_stealing,
     "hybrid_rightsizing": lambda: _rightsizing_run()[1],
+    "cluster_faults": run_cluster_faults,
 }
 
 

@@ -10,6 +10,7 @@ from repro.cluster import (
     simulate_cluster,
 )
 from repro.cluster.node import NodeState
+from repro.simulation.hooks import HookBus
 
 
 def burst(count, service=1.0, spacing=0.0):
@@ -124,6 +125,7 @@ class TestScaling:
                 self.machine = [None] * 4
 
         class FakeCluster:
+            hooks = HookBus()
             nodes = [FakeNode()]
             waiting_tasks = [object()] * 8
 
@@ -146,6 +148,7 @@ class TestScaling:
                 self.machine = [None] * 4
 
         class FakeCluster:
+            hooks = HookBus()
             nodes = [FakeNode()]
             waiting_tasks = []
 
@@ -169,6 +172,7 @@ class TestScaling:
                 self.machine = []
 
         class FakeCluster:
+            hooks = HookBus()
             nodes = [CorelessNode()]
             waiting_tasks = [object()] * 3
 

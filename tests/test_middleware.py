@@ -330,17 +330,31 @@ class TestMiddlewareChain:
         assert cluster.hooks.task_landed == (cluster._middleware.on_land,)
 
     def test_no_observer_leaves_every_hook_empty(self):
+        """With no observer (no telemetry, no middleware) every task hook
+        stays empty; the node- and run-level hooks hold exactly the fleet
+        features that wired themselves onto them, in attach order."""
+        autoscaler = ReactiveAutoscaler()
         cluster = ClusterSimulator(
             tiny_cluster_config(
                 network=NetworkSpec(rtt=0.01), migration="work_stealing"
             ),
-            autoscaler=ReactiveAutoscaler(),
+            autoscaler=autoscaler,
             chaos={"crash_rate": 0.5},
         )
         cluster.submit(build_tasks([(0.1 * i, 0.5) for i in range(20)]))
         result = cluster.run()
         assert result.finished_count == 20
-        assert all(getattr(cluster.hooks, name) == () for name in HOOKS)
+        policy, chaos = cluster.migration_policy, cluster._chaos
+        subscribers = {
+            "run_started": (autoscaler._start, policy._start),
+            "node_changed": (policy._on_node_changed, chaos._on_node_changed),
+            "node_failed": (autoscaler.on_node_failure,),
+        }
+        for name in HOOKS:
+            if name.startswith("task_"):
+                assert getattr(cluster.hooks, name) == (), name
+            else:
+                assert getattr(cluster.hooks, name) == subscribers.get(name, ()), name
 
     def test_stats_deduplicate_names(self):
         chain = MiddlewareChain(

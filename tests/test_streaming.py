@@ -614,15 +614,21 @@ class TestRunnerStreamFlags:
     def test_malformed_trace_csv_fails_cleanly(self, tmp_path, capsys):
         from repro.experiments.runner import run_cli
 
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        rc = run_cli(
-            ["--scenario", str(self.write_scenario(tmp_path)), "--trace-csv", str(bad)]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: trace CSV {bad}: not an Azure invocation-count CSV"
-        )
+        cases = {
+            "a,b\n1,2\n": "not an Azure invocation-count CSV",
+            "HashFunction,1,2\nf0,3,4\nf1,5,x\n": (
+                "function row 2, minute column '2': count 'x' is not a number"
+            ),
+        }
+        scenario = str(self.write_scenario(tmp_path))
+        for index, (text, message) in enumerate(cases.items()):
+            bad = tmp_path / f"bad{index}.csv"
+            bad.write_text(text)
+            rc = run_cli(["--scenario", scenario, "--trace-csv", str(bad)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: trace CSV {bad}: {message}"
+            )
 
     def test_stream_flags_require_scenario(self, capsys):
         from repro.experiments.runner import run_cli

@@ -67,6 +67,14 @@ class TestApplyOverrides:
     def test_empty_overrides_reproduce_base(self):
         assert apply_overrides(BASE, {}) == BASE
 
+    def test_nested_override_leaves_base_untouched(self):
+        base = Scenario(
+            workload=Workload("two_minute", params={"shape": {"period": 30.0}})
+        )
+        patched = apply_overrides(base, {"workload.params.shape.period": 5.0})
+        assert patched.workload.params == {"shape": {"period": 5.0}}
+        assert base.workload.params == {"shape": {"period": 30.0}}
+
     def test_unknown_field_names_it_with_suggestion(self):
         with pytest.raises(SweepError, match=r"schduler.*did you mean 'scheduler'"):
             apply_overrides(BASE, {"schduler": "cfs"})

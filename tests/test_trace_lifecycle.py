@@ -5,6 +5,9 @@ and with RTT, chaos and retry variants, each task's ``queued`` / ``run`` /
 ``wire`` / ``migrate`` / ``backoff`` spans must never overlap, a finished
 task's last ``run`` span must end at its completion time, and no task span
 may still be open when the run's end-of-run drain (``Tracer.finish``) runs.
+Each run also conserves its tasks: submitted = finished + rejected +
+unserved, the nodes' stolen-in counts sum to the migrated count, and no
+task id is recorded twice.
 """
 
 from __future__ import annotations
@@ -122,6 +125,22 @@ def test_cluster_task_states_never_overlap(dispatcher, fleet, variant):
     names = {span[0] for span in result.telemetry.spans}
     assert names >= states, names
     assert_lifecycle(result, telemetry.tracer)
+    assert_conservation(result)
+
+
+def assert_conservation(result) -> None:
+    """Every submitted task is finished, rejected or unserved, once."""
+    task_ids = result.task_columns().data["task_id"]
+    unserved = [
+        task for task in result.tasks
+        if not task.is_finished and "rejected" not in task.metadata
+    ]
+    assert result.tasks_submitted == (
+        len(task_ids) + result.tasks_rejected + len(unserved)
+    )
+    stolen_in = sum(stats["stolen_in"] for stats in result.node_stats.values())
+    assert stolen_in == result.tasks_migrated
+    assert len(set(task_ids.tolist())) == len(task_ids)
 
 
 def test_standalone_hybrid_task_states_never_overlap():

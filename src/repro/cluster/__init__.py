@@ -36,8 +36,8 @@ Quick example::
 
 :func:`simulate_cluster` takes a task list or a
 :class:`~repro.workload.streaming.StreamingWorkload`; a streamed workload is
-fed in chunks with bounded metrics (``chunk``, ``low_water``,
-``metrics_cap``, ``metrics_policy``, ``spill_dir``).
+fed to the run's arrival cursor one ``chunk`` at a time, with bounded
+metrics (``metrics_cap``, ``metrics_policy``, ``spill_dir``).
 """
 
 from repro.cluster.autoscaler import AutoscalerConfig, ReactiveAutoscaler

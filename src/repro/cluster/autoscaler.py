@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.dispatchers import bound_work
+from repro.simulation.hooks import bind_cluster
 
 
 def fleet_load_signal(cluster) -> float:
@@ -112,7 +113,7 @@ class ReactiveAutoscaler:
         """Wire onto ``cluster``: a control tick every check interval from
         the run's start and a replacement for every failed node, so it can
         regrow a fleet that lost every node."""
-        self.cluster = cluster
+        bind_cluster(self, cluster)
         cluster.fleet_can_regrow = True
         cluster.hooks.subscribe("run_started", self._start)
         cluster.hooks.subscribe("node_failed", self.on_node_failure)

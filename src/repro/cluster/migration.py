@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.cluster.dispatchers import normalized_load
 from repro.cluster.node import NodeState
+from repro.simulation.hooks import bind_cluster
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import ClusterNode
@@ -98,7 +99,7 @@ class MigrationPolicy(ABC):
         """Wire onto ``cluster``: a migration pass every ``interval`` from
         the run's start, and a rescue pass the moment a node starts to
         drain, so its queued work is stolen instead of trickling out."""
-        self.cluster = cluster
+        bind_cluster(self, cluster)
         cluster.hooks.subscribe("run_started", self._start)
         cluster.hooks.subscribe("node_changed", self._on_node_changed)
 

@@ -39,8 +39,9 @@ from repro.simulation.metrics import record_series
 from repro.simulation.task import Task
 
 
-#: Tag of a lost task's re-admission event (payload: the task).  Unlike a
-#: fed arrival it was already taken in, so it is not counted again.
+#: Tag of a lost task's re-admission event (payload: the task).  Unlike an
+#: arrival off the cursor it was already taken in, so it is not counted
+#: again; a fed arrival at the same instant goes first.
 READMIT_TAG = "readmit"
 
 
@@ -308,7 +309,7 @@ class ClusterSimulator(EventLoop):
         node.tasks_lost += 1
         for hook in self.hooks.task_lost:
             hook(task, node, self.now)
-        self._pending_arrivals += 1
+        self._readmissions += 1
         self.events.push(
             self.now + self._chaos.spec.redispatch_delay,
             None,
@@ -328,7 +329,7 @@ class ClusterSimulator(EventLoop):
         re-arming forever would keep ``run()`` from terminating with the
         honest incomplete result.
         """
-        if self._unfinished <= 0 and self._pending_arrivals <= 0:
+        if self._unfinished <= 0 and not self._arrival_pending():
             return False
         if any(not node.state.terminal for node in self.nodes):
             return True
@@ -359,7 +360,7 @@ class ClusterSimulator(EventLoop):
                 return
             node.complete_ingress(task, self.now)
         elif tag == READMIT_TAG:
-            self._pending_arrivals -= 1
+            self._readmissions -= 1
             task = event.payload
             for hook in self.hooks.task_arrived:
                 hook(task, self.now)
@@ -709,7 +710,6 @@ def simulate_cluster(
     chaos=None,
     *,
     chunk: int = 8192,
-    low_water: Optional[int] = None,
     metrics_cap: Optional[int] = None,
     metrics_policy: str = "reservoir",
     spill_dir: Optional[str] = None,
@@ -719,9 +719,8 @@ def simulate_cluster(
     The cluster-level analogue of :func:`repro.simulation.engine.simulate`.
     ``workload`` is a task list, submitted up front, or a
     :class:`~repro.workload.streaming.StreamingWorkload`, whose arrivals are
-    generated lazily per sim-time window and fed into the event heap
-    ``chunk`` tasks at a time, refilled whenever at most ``low_water`` fed
-    arrivals are still queued.  Each finished task is recorded once, in the
+    generated lazily per sim-time window and fed to the arrival cursor
+    ``chunk`` tasks at a time.  Each finished task is recorded once, in the
     run's one columnar store, tagged with its node; per-node results are
     row selections of it, made when first read.  ``metrics_cap`` bounds
     that store (``metrics_policy`` selects reservoir sampling with exact
@@ -751,5 +750,5 @@ def simulate_cluster(
         metrics_policy=metrics_policy,
         spill_dir=spill_dir,
     )
-    cluster._submit_workload(workload, chunk, low_water)
+    cluster._submit_workload(workload, chunk)
     return cluster.run(until=until)

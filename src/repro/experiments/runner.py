@@ -201,6 +201,7 @@ def _run_scenario_file(
     from dataclasses import replace
 
     from repro.scenario import Scenario, run
+    from repro.scenario.workloads import StreamOnlySourceError
     from repro.telemetry import TelemetrySpec
     from repro.workload.streaming import TraceFormatError
 
@@ -286,6 +287,9 @@ def _run_scenario_file(
         result = run(scenario)
     except TraceFormatError as exc:
         print(f"error: trace CSV {stream.trace_csv}: {exc}", file=sys.stderr)
+        return 2
+    except StreamOnlySourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     rendered = result.describe()
     print(rendered)

@@ -37,6 +37,8 @@ from __future__ import annotations
 from abc import ABC
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from repro.simulation.hooks import bind_cluster
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import ClusterNode
     from repro.cluster.simulator import ClusterSimulator
@@ -161,7 +163,7 @@ class MiddlewareChain:
         """Wire onto ``cluster``: point every middleware at it, put the
         admission pass in front of dispatch and subscribe the observed
         hooks.  An empty chain wires nothing (the middleware-free path)."""
-        self.cluster = cluster
+        bind_cluster(self, cluster)
         if not self.middlewares:
             return
         for mw in self.middlewares:

@@ -10,9 +10,7 @@ average utilization of the FIFO and CFS core groups to drive rightsizing
 * :class:`~repro.monitoring.sampler.UtilizationSampler` — the daemon side,
   sampling simulated cores,
 * :class:`~repro.monitoring.monitor.GroupUtilizationMonitor` — the scheduler
-  side, computing windowed per-group averages,
-* :mod:`repro.monitoring.psutil_backend` — optional real-host sampling used
-  by the live mode when psutil is installed.
+  side, computing windowed per-group averages.
 """
 
 from repro.monitoring.monitor import GroupUtilizationMonitor

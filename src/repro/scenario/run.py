@@ -113,7 +113,6 @@ def run(
         workload = build_stream_source(scenario.workload, spec, seed=scenario.seed)
         stream_kwargs = dict(
             chunk=spec.chunk,
-            low_water=spec.low_water,
             metrics_cap=spec.metrics_cap,
             metrics_policy=spec.metrics_policy,
             spill_dir=spec.spill_dir,

@@ -63,10 +63,19 @@ def available_workloads() -> List[str]:
     return sorted(_WORKLOADS)
 
 
+class StreamOnlySourceError(ValueError):
+    """A scenario names a stream source but has no ``stream`` section."""
+
+
 def create_workload(name: str, **params) -> List[Task]:
     """Build a fresh task list for a registered workload."""
     key = name.lower()
     if key not in _WORKLOADS:
+        if key in _STREAM_SOURCES:
+            raise StreamOnlySourceError(
+                f"workload.source {name!r} is a stream source: add a `stream` "
+                "section to the scenario (or pass --stream-chunk) to replay it"
+            )
         raise KeyError(
             f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
         )

@@ -3,8 +3,11 @@
 Two pieces make up every simulator in this package:
 
 * :class:`EventLoop` — the clock, the event queue, the arrival feed and the
-  drain loop, which makes one :meth:`~repro.simulation.events.EventQueue.pop`
-  call per event.  The standalone :class:`Simulator` and the fleet's
+  drain loop.  Arrivals never enter the queue: they wait on one cursor
+  sorted by arrival time (the submitted task list, or a stream's current
+  chunk), which the drain loop merges with the queue, making one
+  :meth:`~repro.simulation.events.EventQueue.pop` call per event or
+  arrival.  The standalone :class:`Simulator` and the fleet's
   :class:`~repro.cluster.simulator.ClusterSimulator` both run on it.
 * :class:`MachineEngine` — one machine and its scheduler on some loop.
   Schedulers never touch cores directly — they start, stop and migrate tasks
@@ -23,15 +26,16 @@ Scheduler interface (duck-typed; see :class:`repro.schedulers.base.Scheduler`):
 
 from __future__ import annotations
 
-import itertools
+import math
 import time as _wallclock
-from typing import Iterable, List, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, List, Optional
 
 from repro.simulation.clock import VirtualClock
 from repro.simulation.columns import NO_NODE, TaskColumns, build_columns_store
 from repro.simulation.config import SimulationConfig
 from repro.simulation.cpu import Core
-from repro.simulation.events import STREAM_SEQ_BASE, Event, EventPriority, EventQueue
+from repro.simulation.events import Event, EventPriority, EventQueue
 from repro.simulation.hooks import HookBus
 from repro.simulation.machine import Machine
 from repro.simulation.metrics import MetricsCollector, record_series
@@ -41,8 +45,8 @@ from repro.telemetry.gauges import SAMPLER_TAG
 from repro.telemetry.probe import TelemetryProbe
 from repro.telemetry.runtime import as_telemetry
 
-#: Tag of a fed arrival event (payload: the task), on every simulator.
-ARRIVAL_TAG = "arrival"
+#: The arrival cursor's next-arrival time once the feed is done.
+NO_ARRIVAL = math.inf
 #: Tag of a core's next-completion event (payload: the core).
 COMPLETION_TAG = "completion"
 
@@ -57,9 +61,10 @@ class EventLoop:
 
     Subclasses route events and name the machines the loop drives:
 
-    * ``_on_arrival(task)`` / ``_on_completion(core)`` handle the two
-      payload events every run has (the loop fires ``task_arrived`` first);
-      ``_dispatch_other(event)`` any other callback-free event;
+    * ``_on_arrival(task)`` handles each arrival off the cursor (the loop
+      fires ``task_arrived`` first), ``_on_completion(core)`` each core's
+      completion event, ``_dispatch_other(event)`` any other callback-free
+      event;
     * ``_engines()`` lists every :class:`MachineEngine` on the loop (flushed
       and sampled at the end of a run), ``_sampled_engines()`` the ones the
       periodic utilization sampler visits;
@@ -86,24 +91,22 @@ class EventLoop:
         self.tasks: List[Task] = []
         #: Arrivals taken in and neither finished nor rejected yet.
         self._unfinished = 0
-        #: Arrival events still queued (fed arrivals, plus any re-admission
-        #: a subclass queues); timers keep re-arming while this is positive.
-        self._pending_arrivals = 0
-        #: Arrivals pushed onto the queue so far.
-        self._tasks_fed = 0
-        #: Arrivals the run took in (their event fired); a run cut off by a
-        #: time limit reports this as its submitted count on both feeds.
+        #: The arrival cursor: the submitted tasks sorted by arrival time, or
+        #: a stream's current chunk; the index of its next arrival; and that
+        #: arrival's time (infinity once the feed is done).
+        self._feed: List[Task] = []
+        self._feed_pos = 0
+        self._next_arrival = NO_ARRIVAL
+        #: Re-admissions a subclass queued on the heap: arrivals still to come
+        #: that are not on the cursor.
+        self._readmissions = 0
+        #: Arrivals the run took in; a run cut off by a time limit reports
+        #: this as its submitted count on both feeds.
         self._tasks_submitted = 0
         self._events_processed = 0
         self._running = False
-        # The one sequence source for fed arrivals: numbers from the reserved
-        # negative range sort arrivals in feed order and ahead of every
-        # runtime-pushed event at the same (time, priority), so a chunked
-        # stream orders events exactly like a pre-pushed task list.
-        self._arrival_seq = itertools.count(STREAM_SEQ_BASE)
         # Streaming feed (see submit_stream); None on materialised runs.
         self._stream = None
-        self._stream_low_water = 0
         self._stream_total: Optional[int] = None
 
     @property
@@ -113,23 +116,26 @@ class EventLoop:
     # ----------------------------------------------------------- arrival feed
 
     def submit(self, tasks: Iterable[Task]) -> None:
-        """Register tasks and queue all their arrival events up front."""
+        """Register tasks; they arrive in ``arrival_time`` order, equal
+        times in the order submitted."""
         if self._running:
             raise SimulationError("cannot submit tasks while the simulation is running")
+        if self._stream is not None:
+            raise SimulationError("cannot submit tasks to a loop fed by a stream")
         tasks = list(tasks)
         self.tasks.extend(tasks)
-        self._push_arrivals(tasks)
+        pending = self._feed[self._feed_pos:] + tasks
+        self._set_feed(sorted(pending, key=attrgetter("arrival_time")))
 
-    def submit_stream(self, source, *, chunk: int = 8192, low_water: Optional[int] = None) -> None:
+    def submit_stream(self, source, *, chunk: int = 8192) -> None:
         """Attach a streaming arrival source; arrivals are fed in chunks.
 
-        Instead of pre-pushing every arrival (an O(total tasks) heap and task
-        list), the next ``chunk`` tasks are pushed whenever at most
-        ``low_water`` fed arrivals are still queued, keeping live memory
-        O(horizon).  Fed arrivals draw from the same sequence source as
-        :meth:`submit`, so the run is bit-identical to
-        ``submit(source.materialise())``.  Streaming runs retain no task
-        objects; results report counts and columnar metrics instead.
+        The cursor holds one ``chunk`` of tasks at a time and fetches the
+        next the moment the last one arrives, keeping live memory
+        O(horizon) instead of O(total tasks).  The run is bit-identical to
+        ``submit(source.materialise())``; it retains no task objects, so
+        results report counts and columnar metrics instead.  The source
+        must yield arrivals in time order.
         """
         from repro.workload.streaming import StreamFeed
 
@@ -137,49 +143,55 @@ class EventLoop:
             raise SimulationError("cannot attach a stream while the simulation is running")
         if self._stream is not None:
             raise SimulationError("a streaming source is already attached")
-        if low_water is None:
-            low_water = max(1, chunk // 4)
-        if low_water < 0:
-            raise ValueError(f"low_water must be >= 0, got {low_water!r}")
+        if self.tasks:
+            raise SimulationError("cannot attach a stream to a loop fed by submit")
         self._stream = StreamFeed(source, chunk)
-        self._stream_low_water = low_water
         self._stream_total = source.total_hint()
-        self._refill_stream()
+        self._set_feed(self._stream.next_chunk())
 
-    def _submit_workload(self, workload, chunk: int, low_water: Optional[int]) -> None:
+    def _submit_workload(self, workload, chunk: int) -> None:
         """Feed a task list (``submit``) or a streaming source (``submit_stream``)."""
         if hasattr(workload, "batches"):
-            self.submit_stream(workload, chunk=chunk, low_water=low_water)
+            self.submit_stream(workload, chunk=chunk)
         else:
             self.submit(workload)
 
-    def _refill_stream(self) -> None:
-        """Feed arrival chunks until queued fed arrivals clear the low-water mark."""
-        feed = self._stream
-        while (
-            not feed.exhausted
-            and self._tasks_fed - self._tasks_submitted <= self._stream_low_water
-        ):
-            tasks = feed.next_chunk()
-            if not tasks:
-                break
-            self._push_arrivals(tasks)
+    def _set_feed(self, tasks: List[Task]) -> None:
+        self._feed = tasks
+        self._feed_pos = 0
+        self._next_arrival = tasks[0].arrival_time if tasks else NO_ARRIVAL
 
-    def _push_arrivals(self, tasks: Sequence[Task]) -> None:
-        """Queue one arrival event per task, in feed order."""
-        self._tasks_fed += len(tasks)
-        self._pending_arrivals += len(tasks)
-        push = self.events.push_sequenced
-        seq = self._arrival_seq
-        for task in tasks:
-            # Payload-carrying event dispatched by tag: no per-task closure.
-            push(
-                task.arrival_time,
-                next(seq),
-                priority=EventPriority.ARRIVAL,
-                tag=ARRIVAL_TAG,
-                payload=task,
+    def _take_arrival(self) -> Task:
+        """Move the cursor past its next arrival and return it; a stream's
+        next chunk is fetched the moment the current one runs out."""
+        task = self._feed[self._feed_pos]
+        self._feed_pos += 1
+        if self._feed_pos < len(self._feed):
+            self._next_arrival = self._feed[self._feed_pos].arrival_time
+        else:
+            self._set_feed(self._stream.next_chunk() if self._stream is not None else [])
+        if self._next_arrival < task.arrival_time:
+            following = self._feed[self._feed_pos]
+            raise SimulationError(
+                f"task {following.task_id} arrives at t={self._next_arrival!r}, before "
+                f"task {task.task_id} at t={task.arrival_time!r}: arrivals must "
+                "come in time order"
             )
+        return task
+
+    def _arrive(self, task: Task) -> None:
+        """Take in one fed arrival: count it, fire ``task_arrived``, route it."""
+        self._tasks_submitted += 1
+        self._unfinished += 1
+        now = self.clock.now
+        for hook in self.hooks.task_arrived:
+            hook(task, now)
+        self._on_arrival(task)
+
+    def _arrival_pending(self) -> bool:
+        """True while an arrival is still to come: on the cursor, or a
+        re-admission queued on the heap."""
+        return self._next_arrival != NO_ARRIVAL or self._readmissions > 0
 
     # ------------------------------------------------------------- event loop
 
@@ -188,26 +200,13 @@ class EventLoop:
 
     def _work_can_progress(self) -> bool:
         """True while periodic ticks can still achieve anything."""
-        return self._unfinished > 0 or self._pending_arrivals > 0
+        return self._unfinished > 0 or self._arrival_pending()
 
     def _dispatch_tagged(self, event) -> None:
         """Route a payload-carrying (callback-free) event by its tag."""
         tag = event.tag
         if tag == COMPLETION_TAG:
             self._on_completion(event.payload)
-        elif tag == ARRIVAL_TAG:
-            self._tasks_submitted += 1
-            self._unfinished += 1
-            self._pending_arrivals -= 1
-            if (
-                self._stream is not None
-                and self._tasks_fed - self._tasks_submitted <= self._stream_low_water
-            ):
-                self._refill_stream()
-            task = event.payload
-            for hook in self.hooks.task_arrived:
-                hook(task, self.clock.now)
-            self._on_arrival(task)
         elif tag == SAMPLER_TAG:
             event.payload.on_tick()
         else:
@@ -219,34 +218,40 @@ class EventLoop:
         )
 
     def _drain(self, limit: Optional[float]) -> None:
-        """Pop and dispatch events until the work is done or ``limit`` passes."""
+        """Fire events and arrivals until the work is done or ``limit`` passes."""
         events = self.events
         pop = events.pop
         clock = self.clock
         dispatch = self._dispatch_tagged
         now = clock.now
         processed = 0
-        # One pop per event, in (time, priority, seq) order; the clock moves
-        # only when the timestamp changes.
+        # One pop per event or arrival, in (time, priority, seq) order: the
+        # cursor's next arrival sorts after the completions at its instant
+        # and before every other event there.  The clock moves only when the
+        # timestamp changes.
         while True:
-            event = pop(limit)
-            if event is None:
-                if limit is not None and len(events):
-                    # Live events remain, all past the limit.
-                    clock.advance_to(limit)
-                break
+            event = pop(limit, self._next_arrival)
+            if event is not None:
+                time = event.time
+            else:
+                time = self._next_arrival
+                if time == NO_ARRIVAL or (limit is not None and time > limit):
+                    if limit is not None and (len(events) or time != NO_ARRIVAL):
+                        # Live events or arrivals remain, all past the limit.
+                        clock.advance_to(limit)
+                    break
             processed += 1
-            time = event.time
             if time > now:
                 clock.now = now = time
             elif time < now:
                 clock.advance_to(time)  # raises if it moves back past epsilon
-            callback = event.callback
-            if callback is not None:
-                callback()
+            if event is None:
+                self._arrive(self._take_arrival())
+            elif event.callback is not None:
+                event.callback()
             else:
                 dispatch(event)
-            if self._unfinished == 0 and self._pending_arrivals == 0:
+            if self._unfinished == 0 and not self._arrival_pending():
                 break
         self._events_processed += processed
 
@@ -385,7 +390,7 @@ class MachineEngine:
         Periodic scheduler timers (CFS load balancing, the hybrid's sampling
         and rightsizing) re-arm only while this holds.
         """
-        return self._unfinished > 0 or self.loop._pending_arrivals > 0
+        return self._unfinished > 0 or self.loop._arrival_pending()
 
     # ----------------------------------------------------------------- timers
 
@@ -548,7 +553,6 @@ def simulate(
     telemetry=None,
     *,
     chunk: int = 8192,
-    low_water: Optional[int] = None,
     metrics_cap: Optional[int] = None,
     metrics_policy: str = "reservoir",
     spill_dir: Optional[str] = None,
@@ -559,8 +563,7 @@ def simulate(
     harness when no special machine topology is needed.  ``workload`` is a
     task list, submitted up front, or a
     :class:`~repro.workload.streaming.StreamingWorkload`, fed ``chunk`` tasks
-    at a time whenever at most ``low_water`` fed arrivals are still queued;
-    a streamed run retains no task objects, so its live memory is
+    at a time; a streamed run retains no task objects, so its live memory is
     O(horizon) rather than O(total tasks) and its result's ``tasks`` list
     is empty (summaries, columns and cost all work from the run's store).
     ``metrics_cap`` bounds that columnar store using
@@ -580,5 +583,5 @@ def simulate(
     simulator = Simulator(
         target_machine, scheduler, config=cfg, columns=columns, telemetry=telemetry
     )
-    simulator._submit_workload(workload, chunk, low_water)
+    simulator._submit_workload(workload, chunk)
     return simulator.run(until=until)

@@ -15,25 +15,20 @@ maintained on push/pop/cancel/clear makes ``len(queue)`` O(1) despite the
 lazy tombstones, and the heap is compacted once tombstones outnumber live
 events.
 
-The hottest push sites (task arrivals, core completions) schedule
-*payload-carrying* events with no callback: the run loop dispatches them by
-``tag``, which avoids allocating one closure per push.  The run loop drains
-with one :meth:`EventQueue.pop` call per event, passing its time limit.
+The hottest push site (core completions) schedules *payload-carrying*
+events with no callback: the run loop dispatches them by ``tag``, which
+avoids allocating one closure per push.  Arrivals are not heap events: the
+run loop keeps them on a sorted cursor and drains with one
+:meth:`EventQueue.pop` call per event or arrival, passing its time limit and
+the next arrival's time.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from enum import IntEnum
 from typing import Any, Callable, Optional
-
-#: Base of the sequence-number range reserved for streamed arrivals.  The
-#: internal counter starts at 0, so arrivals fed mid-run with sequence
-#: numbers counting up from here sort among themselves in feed order and
-#: ahead of every runtime-pushed event at the same ``(time, priority)`` —
-#: exactly where they would have sorted had the whole workload been
-#: pre-pushed before the run started (see :meth:`EventQueue.push_sequenced`).
-STREAM_SEQ_BASE = -(1 << 62)
 
 #: Compaction threshold: heaps smaller than this are never compacted, so
 #: short runs keep the pure lazy-cancellation fast path.
@@ -135,38 +130,16 @@ class EventQueue:
         self._live += 1
         return event
 
-    def push_sequenced(
-        self,
-        time: float,
-        seq: int,
-        priority: EventPriority = EventPriority.ARRIVAL,
-        tag: str = "",
-        payload: Any = None,
-    ) -> Event:
-        """Schedule a payload event with a caller-chosen sequence number.
-
-        Streaming arrival feeds draw ``seq`` from a counter starting at
-        :data:`STREAM_SEQ_BASE`, which keeps chunk-fed arrivals bit-identical
-        in ordering to a fully pre-pushed workload even when a runtime event
-        (an ingress hop, a retry re-admission) lands on the exact same
-        ``(time, priority)``.  Callers must keep their sequence numbers
-        unique and outside the internal counter's non-negative range; kept
-        separate from :meth:`push` so the hot path stays branch-free.
-        """
-        if time < 0:
-            raise ValueError(f"cannot schedule an event at negative time {time!r}")
-        if seq >= 0:
-            raise ValueError(
-                f"caller-chosen sequence numbers must be negative, got {seq!r}"
-            )
-        event = Event(time, priority, seq, None, tag, payload, self)
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
-    def pop(self, limit: Optional[float] = None) -> Optional[Event]:
+    def pop(
+        self, limit: Optional[float] = None, arrival: float = math.inf
+    ) -> Optional[Event]:
         """Pop the earliest live event; None when there is none, or when the
-        earliest is later than ``limit`` (it stays queued)."""
+        earliest is later than ``limit`` (it stays queued).
+
+        ``arrival`` is the time of the run loop's next arrival, which sorts
+        after a completion at the same instant and before every other event
+        there: None too when that arrival goes first.
+        """
         heap = self._heap
         while heap:
             entry = heap[0]
@@ -174,7 +147,12 @@ class EventQueue:
             if event.cancelled:
                 heapq.heappop(heap)
                 continue
-            if limit is not None and entry[0] > limit:
+            time = entry[0]
+            if limit is not None and time > limit:
+                return None
+            if time > arrival or (
+                time == arrival and entry[1] != EventPriority.COMPLETION
+            ):
                 return None
             heapq.heappop(heap)
             event._queue = None

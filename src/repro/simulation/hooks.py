@@ -69,3 +69,14 @@ class HookBus:
         if hook not in HOOKS:
             raise ValueError(f"unknown hook {hook!r}; known: {', '.join(HOOKS)}")
         setattr(self, hook, getattr(self, hook) + (callback,))
+
+
+def bind_cluster(feature, cluster) -> None:
+    """Point ``feature.cluster`` at ``cluster``; a fleet feature serves one."""
+    bound = getattr(feature, "cluster", None)
+    if bound is not None and bound is not cluster:
+        raise ValueError(
+            f"this {type(feature).__name__} is already attached to another "
+            "cluster; build one per cluster"
+        )
+    feature.cluster = cluster

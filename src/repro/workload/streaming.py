@@ -18,8 +18,8 @@ This module provides the lazy alternative:
   real Azure per-minute invocation-count CSV format (``HashOwner, HashApp,
   HashFunction, Trigger, "1", "2", ..., "1440"``), through pandas when it is
   installed and a stdlib ``csv`` fallback otherwise.
-* :class:`StreamSpec` — the JSON-serialisable knobs (chunk size, low-water
-  mark, metrics cap/policy, trace CSV) a :class:`~repro.scenario.scenario
+* :class:`StreamSpec` — the JSON-serialisable knobs (chunk size, metrics
+  cap/policy, trace CSV) a :class:`~repro.scenario.scenario
   .Scenario` carries to opt a run into the streaming path.
 """
 
@@ -76,14 +76,13 @@ class StreamingWorkload:
 class StreamSpec(Spec):
     """How a :class:`~repro.scenario.scenario.Scenario` replays a stream.
 
-    ``chunk``/``low_water`` control event feeding (see ``submit_stream``);
-    ``metrics_cap``/``metrics_policy``/``spill_dir`` bound the columnar
-    metrics store; ``trace_csv`` replaces the scenario's registered workload
-    with a real Azure invocation-count CSV.
+    ``chunk`` is how many tasks the arrival cursor holds at a time (see
+    ``submit_stream``); ``metrics_cap``/``metrics_policy``/``spill_dir``
+    bound the columnar metrics store; ``trace_csv`` replaces the scenario's
+    registered workload with a real Azure invocation-count CSV.
     """
 
     chunk: int = 8192
-    low_water: Optional[int] = None
     metrics_cap: Optional[int] = None
     metrics_policy: str = "reservoir"
     spill_dir: Optional[str] = None
@@ -93,8 +92,6 @@ class StreamSpec(Spec):
         validate(self)
         if self.chunk <= 0:
             raise ValueError(f"chunk must be positive, got {self.chunk!r}")
-        if self.low_water is not None and self.low_water < 0:
-            raise ValueError(f"low_water must be >= 0, got {self.low_water!r}")
         if self.metrics_cap is not None and self.metrics_cap <= 0:
             raise ValueError(
                 f"metrics_cap must be positive when set, got {self.metrics_cap!r}"
@@ -109,13 +106,14 @@ class StreamSpec(Spec):
 class StreamFeed:
     """Re-chunks a source's per-window batches into fixed-size arrival chunks.
 
-    The simulators own one of these per streaming run: ``next_chunk()``
-    returns up to ``chunk`` tasks, draining as many source windows as needed
-    (idle windows yield empty batches and are skipped).  ``exhausted`` flips
-    once the source iterator is finished *and* the buffer is drained.
+    The simulators own one of these per streaming run, as the source of
+    their arrival cursor: ``next_chunk()`` returns the next ``chunk`` tasks
+    across as many source windows as needed (idle windows yield empty
+    batches and are skipped).  ``exhausted`` flips once a chunk comes up
+    short, the source being done.
     """
 
-    __slots__ = ("chunk", "exhausted", "fed", "_batches", "_buffer", "_pos")
+    __slots__ = ("chunk", "exhausted", "fed", "_tasks")
 
     def __init__(self, source: StreamingWorkload, chunk: int) -> None:
         if chunk <= 0:
@@ -123,30 +121,13 @@ class StreamFeed:
         self.chunk = chunk
         self.exhausted = False
         self.fed = 0
-        self._batches = source.batches()
-        self._buffer: List[Task] = []
-        self._pos = 0
+        self._tasks = itertools.chain.from_iterable(source.batches())
 
     def next_chunk(self) -> List[Task]:
         """Up to ``self.chunk`` tasks in arrival order; ``[]`` when done."""
-        out: List[Task] = []
-        if self.exhausted:
-            return out
-        need = self.chunk
-        while need > 0:
-            if self._pos >= len(self._buffer):
-                try:
-                    self._buffer = next(self._batches)
-                except StopIteration:
-                    self.exhausted = True
-                    break
-                self._pos = 0
-                continue
-            take = self._buffer[self._pos : self._pos + need]
-            self._pos += len(take)
-            out.extend(take)
-            need -= len(take)
+        out = list(itertools.islice(self._tasks, self.chunk))
         self.fed += len(out)
+        self.exhausted = len(out) < self.chunk
         return out
 
 

@@ -296,3 +296,22 @@ class TestAutoscalerMigrationInteraction:
             s for s in with_stealing.node_stats.values() if s["stolen_away"] > 0
         ]
         assert drained_with
+
+
+class TestOneClusterPerAutoscaler:
+    def test_second_cluster_is_refused_and_the_first_still_scales(self):
+        """A second attach must not rebind the autoscaler: the first
+        cluster's ticks would read the idle second fleet and never scale."""
+        from repro.cluster import ClusterSimulator
+
+        autoscaler = ReactiveAutoscaler(
+            AutoscalerConfig(min_nodes=1, max_nodes=4, check_interval=0.5, cooldown=0.0)
+        )
+        config = cluster_config(num_nodes=1, cores_per_node=1)
+        first = ClusterSimulator(config=config, autoscaler=autoscaler)
+        with pytest.raises(ValueError, match="ReactiveAutoscaler"):
+            ClusterSimulator(config=config, autoscaler=autoscaler)
+        first.submit(burst(8, service=2.0))
+        result = first.run()
+        assert result.completion_ratio == 1.0
+        assert result.nodes_added > 0

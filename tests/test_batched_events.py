@@ -13,6 +13,7 @@ from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.fifo import FIFOScheduler
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator, simulate
+from repro.simulation.events import EventPriority
 from repro.simulation.machine import Machine
 from repro.simulation.task import Task
 
@@ -35,10 +36,21 @@ def _make_tasks(specs):
 
 
 def _run_unbatched(scheduler, tasks, config):
-    """The pre-batching reference loop: one event per iteration."""
+    """The pre-batching reference loop: one event per iteration.
+
+    Arrivals are pushed onto the heap as plain ``ARRIVAL`` events before the
+    run (so they win every same-instant tie but completions) and fire
+    through the loop's arrival handler.
+    """
     machine = Machine(config, groups=scheduler.preferred_groups(config.num_cores))
     sim = Simulator(machine, scheduler, config=config)
-    sim.submit(tasks)
+    sim.tasks.extend(tasks)
+    for task in tasks:
+        sim.events.push(
+            task.arrival_time, None, priority=EventPriority.ARRIVAL,
+            tag="arrival", payload=task,
+        )
+    pending = len(tasks)
     limit = config.max_simulated_time
     sim._running = True
     sim.scheduler.on_start()
@@ -60,9 +72,12 @@ def _run_unbatched(scheduler, tasks, config):
         callback = event.callback
         if callback is not None:
             callback()
+        elif event.tag == "arrival":
+            pending -= 1
+            sim._arrive(event.payload)
         else:
             sim._dispatch_tagged(event)
-        if sim._unfinished == 0 and sim._pending_arrivals == 0:
+        if sim._unfinished == 0 and pending == 0:
             break
     for core in sim.machine.cores:
         core.sync(sim.now)

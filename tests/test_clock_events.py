@@ -178,14 +178,8 @@ class TestPopLimitAndHandles:
             queue.push(1.0, None, priority=EventPriority.ARRIVAL, tag=f"e{i}")
             for i in range(50)
         ]
-        streamed = [
-            queue.push_sequenced(
-                1.0, -(1 << 62) + i, priority=EventPriority.ARRIVAL, tag=f"s{i}"
-            )
-            for i in range(5)
-        ]
         popped = list(iter(queue.pop, None))
-        assert popped == streamed + pushed
+        assert popped == pushed
         assert [e.seq for e in popped] == sorted(e.seq for e in popped)
 
 
@@ -261,23 +255,32 @@ class TestTombstoneCompaction:
         assert len(queue) == 1
 
 
-class TestPushSequenced:
-    def test_sequenced_arrivals_sort_before_runtime_pushes(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=EventPriority.ARRIVAL, tag="runtime")
-        queue.push_sequenced(
-            1.0, -(1 << 62), priority=EventPriority.ARRIVAL, tag="streamed"
-        )
-        assert [e.tag for e in iter(queue.pop, None)] == ["streamed", "runtime"]
+class TestPopBeforeArrival:
+    """``pop(arrival=t)`` merges the run loop's next arrival at ``t``: only
+    earlier events and completions at ``t`` itself go first."""
 
-    def test_rejects_non_negative_seq(self):
+    def test_earlier_event_and_same_instant_completion_go_first(self):
         queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push_sequenced(1.0, 0)
-        with pytest.raises(ValueError):
-            queue.push_sequenced(1.0, 7)
+        timer = queue.push(0.5, None, priority=EventPriority.TIMER)
+        completion = queue.push(1.0, None, priority=EventPriority.COMPLETION)
+        queue.push(1.0, None, priority=EventPriority.ARRIVAL)
+        assert queue.pop(arrival=1.0) is timer
+        assert queue.pop(arrival=1.0) is completion
+        assert queue.pop(arrival=1.0) is None
+        assert len(queue) == 1
 
-    def test_rejects_negative_time(self):
+    @pytest.mark.parametrize(
+        "priority",
+        [EventPriority.ARRIVAL, EventPriority.CONTROL, EventPriority.TIMER],
+    )
+    def test_arrival_wins_same_instant_ties(self, priority):
         queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push_sequenced(-0.5, -1)
+        event = queue.push(2.0, None, priority=priority)
+        assert queue.pop(arrival=2.0) is None
+        assert queue.pop(arrival=2.5) is event
+
+    def test_limit_still_applies(self):
+        queue = EventQueue()
+        queue.push(3.0, None, priority=EventPriority.COMPLETION)
+        assert queue.pop(2.0, arrival=5.0) is None
+        assert len(queue) == 1

@@ -368,6 +368,12 @@ class TestMiddlewareChain:
         assert stats["admission"]["max_queue_depth"] == 4.0
         assert stats["admission#1"]["max_queue_depth"] == 8.0
 
+    def test_prebuilt_chain_serves_one_cluster(self):
+        chain = MiddlewareChain([AdmissionControlMiddleware()])
+        ClusterSimulator(tiny_cluster_config(), middleware=chain)
+        with pytest.raises(ValueError, match="MiddlewareChain"):
+            ClusterSimulator(tiny_cluster_config(), middleware=chain)
+
     def test_empty_chain_collapses_to_no_middleware(self):
         tasks = build_tasks([(0.0, 0.1)])
         result = simulate_cluster(

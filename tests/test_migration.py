@@ -453,3 +453,10 @@ class TestDrainRescue:
         result = cluster.run()
         assert result.completion_ratio == 0.0
         assert all(n.state is NodeState.RETIRED for n in cluster.nodes)
+
+
+def test_policy_serves_one_cluster():
+    policy = WorkStealingPolicy()
+    ClusterSimulator(config=hot_spot_config(migration=None), migration_policy=policy)
+    with pytest.raises(ValueError, match="WorkStealingPolicy"):
+        ClusterSimulator(config=hot_spot_config(migration=None), migration_policy=policy)

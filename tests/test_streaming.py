@@ -1,12 +1,12 @@
 """Streaming trace replay: lazy arrival sources, chunked feeding, equivalence.
 
-Covers the acceptance criteria of the streaming PR: a ``StreamingWorkload``
+Covers the acceptance criteria of streamed replay: a ``StreamingWorkload``
 fed through ``submit_stream`` is *bit-identical* to submitting the fully
 materialised task list — on a single machine and on a cluster, with and
-without a network RTT, for any chunk size / low-water mark (hypothesis
-property) — while the run retains no task objects.  Also covers the CSV
-ingester for the Azure per-minute invocation-count format, the StreamSpec
-scenario knobs, the runner CLI flags, and unknown-total progress output.
+without a network RTT, for any chunk size (hypothesis property) — while
+the run retains no task objects.  Also covers the CSV ingester for the
+Azure per-minute invocation-count format, the StreamSpec scenario knobs,
+the runner CLI flags, and unknown-total progress output.
 """
 
 import io
@@ -260,27 +260,18 @@ class TestClusterEquivalence:
 
 class TestChunkInvariance:
     """The hypothesis property behind the tentpole: chunk boundaries are
-    invisible — any (chunk, low_water) pair replays the same run."""
+    invisible — any chunk size replays the same run."""
 
-    @given(
-        chunk=st.integers(min_value=1, max_value=40),
-        low_water=st.none() | st.integers(min_value=0, max_value=12),
-    )
+    @given(chunk=st.integers(min_value=1, max_value=40))
     @settings(
         max_examples=20,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_single_machine(self, chunk, low_water):
+    def test_single_machine(self, chunk):
         config = SimulationConfig(num_cores=2)
         ref = simulate(FIFOScheduler(), make_source().materialise(), config=config)
-        got = simulate(
-            FIFOScheduler(),
-            make_source(),
-            config=config,
-            chunk=chunk,
-            low_water=low_water,
-        )
+        got = simulate(FIFOScheduler(), make_source(), config=config, chunk=chunk)
         assert_same_columns(ref, got)
         assert ref.summary() == got.summary()
 
@@ -451,16 +442,14 @@ class TestStreamSpec:
         assert StreamSpec.from_dict({}) == StreamSpec()
 
     def test_round_trip(self):
-        spec = StreamSpec(
-            chunk=512, low_water=64, metrics_cap=1000, metrics_policy="spill"
-        )
+        spec = StreamSpec(chunk=512, metrics_cap=1000, metrics_policy="spill")
         assert StreamSpec.from_dict(spec.to_dict()) == spec
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StreamSpec(chunk=0)
-        with pytest.raises(ValueError):
-            StreamSpec(low_water=-1)
+        with pytest.raises(TypeError):
+            StreamSpec(low_water=3)  # the cursor has no low-water mark
         with pytest.raises(ValueError):
             StreamSpec(metrics_cap=0)
         with pytest.raises(ValueError):
@@ -522,11 +511,17 @@ class TestStreamScenario:
                 workload=workload,
                 num_nodes=2,
                 dispatcher="jsq",
-                stream=StreamSpec(chunk=17, low_water=3),
+                stream=StreamSpec(chunk=17),
             )
         )
         assert fine.result.summary() == coarse.result.summary()
         assert fine.cost == coarse.cost
+
+    def test_stream_source_without_stream_section_fails_cleanly(self):
+        scenario = Scenario(workload=Workload("azure_day", scale=0.002), num_nodes=2)
+        message = r"workload\.source 'azure_day' is a stream source.*`stream` section"
+        with pytest.raises(ValueError, match=message):
+            run(scenario)
 
     def test_streaming_scenario_rejects_explicit_tasks(self):
         scenario = Scenario(
@@ -600,6 +595,20 @@ class TestRunnerStreamFlags:
         assert err.startswith("error: unknown stream source 'diurnal'")
         for name in ("azure_day", "ten_minute", "two_minute"):
             assert name in err
+
+    def test_stream_source_without_stream_flags_fails_cleanly(self, tmp_path, capsys):
+        from repro.experiments.runner import run_cli
+
+        path = tmp_path / "stream.json"
+        path.write_text(
+            '{"workload": {"source": "azure_day"}, "num_nodes": 4, '
+            '"cores_per_node": 8, "dispatcher": "jsq"}'
+        )
+        rc = run_cli(["--scenario", str(path), "--scale", "0.002"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workload.source 'azure_day' is a stream source")
+        assert "--stream-chunk" in err
 
     def test_missing_trace_csv_fails_cleanly(self, tmp_path, capsys):
         from repro.experiments.runner import run_cli

@@ -33,7 +33,10 @@ RTT bench through a two-middleware chain (a never-rejecting admission cap
 plus an SLO tracker) to pin the middleware-*on* dispatch cost; the
 middleware-*off* path is gated by re-checking ``engine_mp512`` and
 ``dispatcher_rtt_512nodes`` against their BENCH_5/6 baselines, asserting an
-empty chain adds nothing.
+empty chain adds nothing.  The admission check reads the cluster's fleet
+backlog counter, O(1) per arrival whatever the fleet's size (it used to
+rescan every node's queue, O(nodes x queue length) per arrival, which the
+BENCH_7 baseline still prices).
 
 **dispatcher_chaos_512nodes** (the ``BENCH_8.json`` case) runs the 512-node
 RTT bench with seeded spot revocations and work stealing enabled — nodes
@@ -150,9 +153,9 @@ def run_dispatcher_mw_bench(num_nodes: int):
     """The RTT dispatcher bench through a middleware chain (mw-on cost).
 
     Admission with an unreachable cap plus an SLO tracker: every task pays
-    one ``on_dispatch`` sweep (a fleet backlog scan) and one ``on_complete``
-    hook — the heaviest observation-only chain shape — without any verdict
-    changing the run.
+    one ``on_dispatch`` pass (an O(1) fleet backlog read) and one
+    ``on_complete`` hook — the heaviest observation-only chain shape —
+    without any verdict changing the run.
     """
     from repro.middleware import AdmissionControlMiddleware, SLOTrackerMiddleware
 

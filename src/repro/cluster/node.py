@@ -67,6 +67,8 @@ class ClusterNode:
         #: (inside the ingress queue); they count toward the node's load but
         #: have not reached its scheduler yet.
         self.ingress = 0
+        #: The backlog total ingress rolls up into, shared with the scheduler.
+        self._fleet_backlog = scheduler.fleet_backlog
         #: Wire delay one dispatched task pays to reach this node (seconds);
         #: assigned by the cluster from its network model at node creation.
         self.dispatch_delay = 0.0
@@ -251,7 +253,13 @@ class ClusterNode:
                 f"cannot dispatch to node {self.node_id} in state {self.state.value}"
             )
         self.ingress += 1
+        self._fleet_backlog.count += 1
         self._notify_load()
+
+    def end_ingress(self) -> None:
+        """One task left the wire toward this node: it landed, or was lost."""
+        self.ingress -= 1
+        self._fleet_backlog.count -= 1
 
     def complete_ingress(self, task: Task, now: float) -> None:
         """Land one wire-delayed task on this node's scheduler.
@@ -261,7 +269,7 @@ class ClusterNode:
         cluster never retires a node with ingress pending, so a RETIRED
         landing is an engine invariant violation and raises.
         """
-        self.ingress -= 1
+        self.end_ingress()
         self.tasks_ingressed += 1
         self.ingress_wait_total += self.dispatch_delay
         task.metadata["ingress_wait"] = (
@@ -286,10 +294,10 @@ class ClusterNode:
         ]
 
     def stealable_count(self) -> int:
-        """Number of stealable tasks, without materialising the list."""
-        if self.state.terminal:
-            return 0
-        return self.scheduler.stealable_count()
+        """Number of stealable tasks: the scheduler's O(1) backlog counter
+        (0 on a terminal node: :meth:`fail` empties the queue, and a node
+        retires only once it holds no work)."""
+        return self.scheduler.backlog
 
     def checkpointable_tasks(self) -> List[Task]:
         """Started-but-unfinished tasks a checkpointing policy may move.

@@ -30,6 +30,7 @@ from repro.cluster.node import ClusterNode, NodeState
 from repro.cluster.registry import build_migration_policy, create_dispatcher
 from repro.cluster.results import ClusterResult, per_node_results
 from repro.middleware.base import ADMIT_TAG, DEFER, TIMEOUT_TAG, MiddlewareChain
+from repro.schedulers.base import Backlog
 from repro.schedulers.registry import create_scheduler
 from repro.simulation.columns import build_columns_store
 from repro.simulation.engine import EventLoop, SimulationError
@@ -90,6 +91,10 @@ class ClusterSimulator(EventLoop):
         if index_key is not None:
             self._load_index.register(*index_key)
         self.nodes: List[ClusterNode] = []
+        #: Fleet backlog: queued, never-run tasks on every node plus tasks
+        #: on the wire to one.  Each node's scheduler and ingress queue add
+        #: their deltas to it, so ``backlog.count`` reads in O(1).
+        self.backlog = Backlog()
         self.series: dict = {}
         self.waiting_tasks: List[Task] = []
         self.nodes_added = 0
@@ -145,6 +150,7 @@ class ClusterSimulator(EventLoop):
         scheduler = create_scheduler(
             self.config.scheduler, **self.config.scheduler_kwargs
         )
+        scheduler.fleet_backlog = self.backlog
         node_config = self.config.build_node_config(spec)
         machine = Machine(
             node_config, groups=scheduler.preferred_groups(node_config.num_cores)
@@ -355,7 +361,7 @@ class ClusterSimulator(EventLoop):
             if node.state is NodeState.FAILED:
                 # The node died while this task was on the wire toward it:
                 # the landing is lost and the task re-enters dispatch.
-                node.ingress -= 1
+                node.end_ingress()
                 self._lose_task(task, node)
                 return
             node.complete_ingress(task, self.now)

@@ -129,6 +129,7 @@ class HybridScheduler(Scheduler):
             self._dispatch_fifo(task, core)
         else:
             # The event loop (or the cluster node) marked the arrival queued.
+            self._enqueued(task)
             self.fifo_queue.append(task)
 
     def on_task_finished(self, task: Task, core: Core) -> None:
@@ -167,6 +168,7 @@ class HybridScheduler(Scheduler):
             return False
         while self.fifo_queue:
             task = self.fifo_queue.popleft()
+            self._dequeued(task)
             if task.is_finished:
                 continue
             self._dispatch_fifo(task, core)
@@ -280,13 +282,11 @@ class HybridScheduler(Scheduler):
     def stealable_tasks(self) -> List[Task]:
         return list(self.fifo_queue)
 
-    def stealable_count(self) -> int:
-        return sum(1 for task in self.fifo_queue if task.first_run_time is None)
-
     def remove_queued_task(self, task: Task) -> bool:
         for index, queued in enumerate(self.fifo_queue):
             if queued is task:
                 del self.fifo_queue[index]
+                self._dequeued(task)
                 return True
         return False
 

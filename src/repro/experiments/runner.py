@@ -201,7 +201,7 @@ def _run_scenario_file(
     from dataclasses import replace
 
     from repro.scenario import Scenario, run
-    from repro.scenario.workloads import StreamOnlySourceError
+    from repro.scenario.workloads import StreamOnlySourceError, UnknownWorkloadError
     from repro.telemetry import TelemetrySpec
     from repro.workload.streaming import TraceFormatError
 
@@ -288,7 +288,7 @@ def _run_scenario_file(
     except TraceFormatError as exc:
         print(f"error: trace CSV {stream.trace_csv}: {exc}", file=sys.stderr)
         return 2
-    except StreamOnlySourceError as exc:
+    except (StreamOnlySourceError, UnknownWorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rendered = result.describe()

@@ -14,9 +14,12 @@ class AdmissionControlMiddleware(Middleware):
     """Reject arrivals once the fleet-wide queue depth hits a cap.
 
     Queue depth counts tasks committed to the fleet but not yet executing:
-    every node's scheduler queue (``stealable_count``) plus tasks in flight
-    on the wire (``ingress``).  Running tasks do not count — the cap bounds
-    *waiting* work, the queueing-delay on new admissions, not throughput.
+    every node's queued, never-run tasks plus tasks in flight on the wire
+    (``ingress``).  Running tasks do not count — the cap bounds *waiting*
+    work, the queueing-delay on new admissions, not throughput.  The depth
+    is the cluster's :attr:`~repro.cluster.simulator.ClusterSimulator.backlog`
+    counter, which every queue keeps up to date as tasks enter and leave
+    it, so one admission decision costs O(1) whatever the fleet's size.
 
     Args:
         max_queue_depth: Admit while the fleet backlog is strictly below
@@ -34,25 +37,14 @@ class AdmissionControlMiddleware(Middleware):
         self.max_queue_depth = int(max_queue_depth)
         self.admitted = 0
         self.rejected = 0
-        self._retired = None
+        self._backlog = None
 
     def bind(self, chain) -> None:
         super().bind(chain)
-        from repro.cluster.node import NodeState
-
-        self._retired = NodeState.RETIRED
-
-    def queued_depth(self) -> int:
-        """Fleet backlog: scheduler-queued plus on-the-wire tasks."""
-        depth = 0
-        for node in self.chain.cluster.nodes:
-            if node.state is self._retired:
-                continue
-            depth += node.stealable_count() + node.ingress
-        return depth
+        self._backlog = chain.cluster.backlog
 
     def on_dispatch(self, task: "Task", now: float) -> Verdict:
-        if self.queued_depth() >= self.max_queue_depth:
+        if self._backlog.count >= self.max_queue_depth:
             self.rejected += 1
             return reject(self.name)
         self.admitted += 1

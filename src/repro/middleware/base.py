@@ -97,8 +97,9 @@ class Middleware(ABC):
 
         Called once per run before any task arrives; override to cache
         lookups or register gauges, and call ``super().bind(chain)`` first.
+        An instance serves one chain: binding it to a second one raises.
         """
-        self.chain = chain
+        bind_cluster(self, chain, "chain")
 
     # ------------------------------------------------------------------ hooks
 

@@ -21,7 +21,9 @@ class DeadlineShedMiddleware(Middleware):
     middleware into a proper overload valve: under light load everything
     with slack is admitted, under a growing backlog tasks whose slack is
     smaller than the predicted queueing delay are dropped at the door
-    instead of occupying queue space they cannot use.
+    instead of occupying queue space they cannot use.  The estimate costs
+    O(1) per arrival: the queued count is the cluster's backlog counter and
+    the capacity is cached until a node changes state.
 
     Args:
         margin: Extra slack (seconds) a task must have beyond ``now``.
@@ -56,26 +58,38 @@ class DeadlineShedMiddleware(Middleware):
         # estimate; deterministic (no sampling, arrival order only).
         self._service_sum = 0.0
         self._service_count = 0
+        self._backlog = None
         self._retired = None
+        # Fleet capacity, summed again only after a node changed state.
+        self._capacity: Optional[float] = None
 
     def bind(self, chain) -> None:
         super().bind(chain)
         from repro.cluster.node import NodeState
 
         self._retired = NodeState.RETIRED
+        self._backlog = chain.cluster.backlog
+        if self.load_aware:
+            chain.cluster.hooks.subscribe("node_changed", self._node_changed)
+
+    def _node_changed(self, node, what: str, now: float) -> None:
+        self._capacity = None
 
     def estimated_wait(self) -> float:
         """Predicted queueing delay: backlog x mean service / capacity."""
         if not self.load_aware or self._service_count == 0:
             return 0.0
-        backlog = 0
-        capacity = 0.0
-        for node in self.chain.cluster.nodes:
-            if node.state is self._retired:
-                continue
-            backlog += node.stealable_count() + node.ingress
-            capacity += node.capacity
-        if backlog == 0 or capacity <= 0.0:
+        backlog = self._backlog.count
+        if backlog == 0:
+            return 0.0
+        capacity = self._capacity
+        if capacity is None:
+            capacity = 0.0
+            for node in self.chain.cluster.nodes:
+                if node.state is not self._retired:
+                    capacity += node.capacity
+            self._capacity = capacity
+        if capacity <= 0.0:
             return 0.0
         mean_service = self._service_sum / self._service_count
         return backlog * mean_service / capacity

@@ -67,6 +67,13 @@ class StreamOnlySourceError(ValueError):
     """A scenario names a stream source but has no ``stream`` section."""
 
 
+class UnknownWorkloadError(KeyError):
+    """A scenario's ``workload.source`` names no registered workload."""
+
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0])
+
+
 def create_workload(name: str, **params) -> List[Task]:
     """Build a fresh task list for a registered workload."""
     key = name.lower()
@@ -76,8 +83,9 @@ def create_workload(name: str, **params) -> List[Task]:
                 f"workload.source {name!r} is a stream source: add a `stream` "
                 "section to the scenario (or pass --stream-chunk) to replay it"
             )
-        raise KeyError(
-            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
+        raise UnknownWorkloadError(
+            f"workload.source names unknown workload {name!r}; available: "
+            f"{', '.join(available_workloads())}"
         )
     return _WORKLOADS[key](**params)
 

@@ -9,13 +9,24 @@ bookkeeping and pending completion events consistent.
 from __future__ import annotations
 
 import heapq
+import itertools
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simulation.cpu import Core
 from repro.simulation.machine import DEFAULT_GROUP, Machine
 from repro.simulation.task import Task
+
+
+class Backlog:
+    """A running count of queued, never-run tasks that many queues add
+    their enqueue and dequeue deltas to, so the total reads in O(1)."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 class Scheduler(ABC):
@@ -27,6 +38,10 @@ class Scheduler(ABC):
     def __init__(self) -> None:
         self.sim = None
         self.machine: Optional[Machine] = None
+        #: Queued tasks that never ran, kept by every enqueue and dequeue,
+        #: and the total they roll up into (a cluster shares one fleet-wide).
+        self.backlog = 0
+        self.fleet_backlog = Backlog()
 
     # ----------------------------------------------------------------- wiring
 
@@ -95,10 +110,25 @@ class Scheduler(ABC):
         return False
 
     def stealable_count(self) -> int:
-        """Number of queued, never-run tasks (cheap: no list, no ordering)."""
-        return sum(
-            1 for task in self.stealable_tasks() if task.first_run_time is None
-        )
+        """Number of queued, never-run tasks: an O(1) counter read.
+
+        Every queue discipline calls :meth:`_enqueued` / :meth:`_dequeued`
+        as a task enters or leaves its queue.  ``first_run_time`` is set
+        only on a core, so "never ran" cannot change while a task waits.
+        """
+        return self.backlog
+
+    def _enqueued(self, task: Task) -> None:
+        """Count ``task`` into the backlog if it never ran (every enqueue)."""
+        if task.first_run_time is None:
+            self.backlog += 1
+            self.fleet_backlog.count += 1
+
+    def _dequeued(self, task: Task) -> None:
+        """Count ``task`` out of the backlog if it never ran (every dequeue)."""
+        if task.first_run_time is None:
+            self.backlog -= 1
+            self.fleet_backlog.count -= 1
 
     def describe(self) -> str:
         """One-line human description used in reports."""
@@ -108,22 +138,83 @@ class Scheduler(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class HeapQueueStealMixin:
-    """Steal surface for schedulers queueing in a ``_heap`` of
-    ``(key, seq, task)`` tuples (SJF, SRTF, EDF).
+class HeapQueueScheduler(Scheduler):
+    """Shared helper for policies queueing in a heap of ``(key, seq, task)``
+    tuples (SJF, SRTF, EDF): the smallest :meth:`_heap_key` runs next.
 
-    Removal swaps the victim with the tail and re-heapifies — O(n), which is
-    fine at migration-tick granularity.
+    A :attr:`preemptive` policy lets an arrival that finds no idle core
+    displace the running task with the largest key, when that key exceeds
+    the newcomer's by more than :attr:`preemption_margin`.  Removal swaps
+    the victim with the tail and re-heapifies — O(n), which is fine at
+    migration-tick granularity.
     """
+
+    preemptive = False
+    preemption_margin = 0.0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap: List[Tuple[float, int, Task]] = []
+        self._seq = itertools.count()
+
+    @abstractmethod
+    def _heap_key(self, task: Task) -> float:
+        """Queue order: the task with the smallest key runs first."""
+
+    def _push(self, task: Task) -> None:
+        task.mark_queued()
+        self._enqueued(task)
+        heapq.heappush(self._heap, (self._heap_key(task), next(self._seq), task))
+
+    def _pop(self) -> Optional[Task]:
+        if not self._heap:
+            return None
+        task = heapq.heappop(self._heap)[2]
+        self._dequeued(task)
+        return task
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._heap)
+
+    def on_task_arrival(self, task: Task) -> None:
+        core = self.first_idle_core(self.default_group())
+        if core is None and self.preemptive:
+            core = self._preemptible_core(task)
+            if core is not None:
+                victim = core.current_task
+                self.sim.stop_task(victim, core, preempted=True)
+                self._push(victim)
+        if core is None:
+            self._push(task)
+        else:
+            self.sim.start_task(task, core)
+
+    def on_task_finished(self, task: Task, core: Core) -> None:
+        next_task = self._pop()
+        if next_task is not None:
+            self.sim.start_task(next_task, core)
+
+    def _preemptible_core(self, task: Task) -> Optional[Core]:
+        """The busy core running the largest key, if ``task`` should take it."""
+        busy = [
+            core
+            for core in self.machine.group_cores(self.default_group())
+            if core.is_busy and not core.locked
+        ]
+        if not busy:
+            return None
+        core = max(busy, key=lambda c: self._heap_key(c.current_task))
+        victim = core.current_task
+        if (
+            victim is not None
+            and self._heap_key(victim) > self._heap_key(task) + self.preemption_margin
+        ):
+            return core
+        return None
 
     def stealable_tasks(self) -> List[Task]:
         return [entry[-1] for entry in sorted(self._heap, key=lambda e: e[:2])]
-
-    def stealable_count(self) -> int:
-        # Counting needs no queue ordering: skip the sort.
-        return sum(
-            1 for entry in self._heap if entry[-1].first_run_time is None
-        )
 
     def remove_queued_task(self, task: Task) -> bool:
         for index, entry in enumerate(self._heap):
@@ -131,6 +222,7 @@ class HeapQueueStealMixin:
                 self._heap[index] = self._heap[-1]
                 self._heap.pop()
                 heapq.heapify(self._heap)
+                self._dequeued(task)
                 return True
         return False
 
@@ -151,13 +243,16 @@ class CentralizedQueueScheduler(Scheduler):
     def push(self, task: Task) -> None:
         """Re-queue a task at the tail of the global queue."""
         task.mark_queued()
+        self._enqueued(task)
         self.queue.append(task)
 
     def pop_next(self) -> Optional[Task]:
         """Remove and return the next task to run (default: FIFO head)."""
         if not self.queue:
             return None
-        return self.queue.popleft()
+        task = self.queue.popleft()
+        self._dequeued(task)
+        return task
 
     @property
     def queue_length(self) -> int:
@@ -166,13 +261,11 @@ class CentralizedQueueScheduler(Scheduler):
     def stealable_tasks(self) -> List[Task]:
         return list(self.queue)
 
-    def stealable_count(self) -> int:
-        return sum(1 for task in self.queue if task.first_run_time is None)
-
     def remove_queued_task(self, task: Task) -> bool:
         for index, queued in enumerate(self.queue):
             if queued is task:
                 del self.queue[index]
+                self._dequeued(task)
                 return True
         return False
 
@@ -199,6 +292,7 @@ class CentralizedQueueScheduler(Scheduler):
             self.on_task_started(task, core)
         else:
             # The event loop (or the cluster node) marked the arrival queued.
+            self._enqueued(task)
             self.queue.append(task)
 
     def on_task_finished(self, task: Task, core: Core) -> None:

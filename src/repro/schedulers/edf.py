@@ -10,19 +10,15 @@ slack-aware shortest-job-first policy on FaaS workloads.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
-
-from repro.schedulers.base import HeapQueueStealMixin, Scheduler
-from repro.simulation.cpu import Core
+from repro.schedulers.base import HeapQueueScheduler
 from repro.simulation.task import Task
 
 
-class EDFScheduler(HeapQueueStealMixin, Scheduler):
+class EDFScheduler(HeapQueueScheduler):
     """Preemptive Earliest Deadline First with a centralized queue."""
 
     name = "edf"
+    preemptive = True
 
     def __init__(self, slack_factor: float = 5.0, default_relative_deadline: float = 10.0) -> None:
         """Args:
@@ -40,13 +36,9 @@ class EDFScheduler(HeapQueueStealMixin, Scheduler):
             )
         self.slack_factor = slack_factor
         self.default_relative_deadline = default_relative_deadline
-        self._heap: List[Tuple[float, int, Task]] = []
-        self._seq = itertools.count()
 
     def describe(self) -> str:
         return "EDF (preemptive earliest deadline first)"
-
-    # ------------------------------------------------------------------ queue
 
     def deadline_of(self, task: Task) -> float:
         if task.deadline is not None:
@@ -54,50 +46,5 @@ class EDFScheduler(HeapQueueStealMixin, Scheduler):
         implicit = task.arrival_time + self.slack_factor * task.service_time
         return min(implicit, task.arrival_time + self.default_relative_deadline)
 
-    def _push(self, task: Task) -> None:
-        task.mark_queued()
-        heapq.heappush(self._heap, (self.deadline_of(task), next(self._seq), task))
-
-    def _pop(self) -> Optional[Task]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    # ------------------------------------------------------------------ hooks
-
-    def on_task_arrival(self, task: Task) -> None:
-        core = self.first_idle_core(self.default_group())
-        if core is not None:
-            self.sim.start_task(task, core)
-            return
-        victim_core = self._latest_deadline_running_core()
-        if victim_core is not None:
-            victim = victim_core.current_task
-            if victim is not None and self.deadline_of(victim) > self.deadline_of(task):
-                self.sim.stop_task(victim, victim_core, preempted=True)
-                self._push(victim)
-                self.sim.start_task(task, victim_core)
-                return
-        self._push(task)
-
-    def on_task_finished(self, task: Task, core: Core) -> None:
-        next_task = self._pop()
-        if next_task is not None:
-            self.sim.start_task(next_task, core)
-
-    # ---------------------------------------------------------------- helpers
-
-    def _latest_deadline_running_core(self) -> Optional[Core]:
-        """Busy core whose running task has the latest deadline."""
-        busy = [
-            core
-            for core in self.machine.group_cores(self.default_group())
-            if core.is_busy and not core.locked
-        ]
-        if not busy:
-            return None
-        return max(busy, key=lambda c: self.deadline_of(c.current_task))
+    def _heap_key(self, task: Task) -> float:
+        return self.deadline_of(task)

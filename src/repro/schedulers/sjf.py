@@ -8,49 +8,17 @@ points in the Fig. 23 cost/latency comparison.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
-
-from repro.schedulers.base import HeapQueueStealMixin, Scheduler
-from repro.simulation.cpu import Core
+from repro.schedulers.base import HeapQueueScheduler
 from repro.simulation.task import Task
 
 
-class SJFScheduler(HeapQueueStealMixin, Scheduler):
+class SJFScheduler(HeapQueueScheduler):
     """Non-preemptive shortest job first with a centralized queue."""
 
     name = "sjf"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[float, int, Task]] = []
-        self._seq = itertools.count()
-
     def describe(self) -> str:
         return "SJF (non-preemptive shortest job first, oracle durations)"
 
-    def _push(self, task: Task) -> None:
-        task.mark_queued()
-        heapq.heappush(self._heap, (task.service_time, next(self._seq), task))
-
-    def _pop(self) -> Optional[Task]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def on_task_arrival(self, task: Task) -> None:
-        core = self.first_idle_core(self.default_group())
-        if core is not None:
-            self.sim.start_task(task, core)
-        else:
-            self._push(task)
-
-    def on_task_finished(self, task: Task, core: Core) -> None:
-        next_task = self._pop()
-        if next_task is not None:
-            self.sim.start_task(next_task, core)
+    def _heap_key(self, task: Task) -> float:
+        return task.service_time

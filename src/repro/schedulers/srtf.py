@@ -8,19 +8,15 @@ hand the core to the waiting task with the least remaining work.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
-
-from repro.schedulers.base import HeapQueueStealMixin, Scheduler
-from repro.simulation.cpu import Core
+from repro.schedulers.base import HeapQueueScheduler
 from repro.simulation.task import Task
 
 
-class SRTFScheduler(HeapQueueStealMixin, Scheduler):
+class SRTFScheduler(HeapQueueScheduler):
     """Preemptive shortest remaining time first with a centralized queue."""
 
     name = "srtf"
+    preemptive = True
 
     def __init__(self, preemption_margin: float = 0.0) -> None:
         """Args:
@@ -34,61 +30,9 @@ class SRTFScheduler(HeapQueueStealMixin, Scheduler):
                 f"preemption_margin must be >= 0, got {preemption_margin!r}"
             )
         self.preemption_margin = preemption_margin
-        self._heap: List[Tuple[float, int, Task]] = []
-        self._seq = itertools.count()
 
     def describe(self) -> str:
         return "SRTF (preemptive shortest remaining time first)"
 
-    # ------------------------------------------------------------------ queue
-
-    def _push(self, task: Task) -> None:
-        task.mark_queued()
-        heapq.heappush(self._heap, (task.remaining, next(self._seq), task))
-
-    def _pop(self) -> Optional[Task]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    # ------------------------------------------------------------------ hooks
-
-    def on_task_arrival(self, task: Task) -> None:
-        core = self.first_idle_core(self.default_group())
-        if core is not None:
-            self.sim.start_task(task, core)
-            return
-        victim_core = self._longest_remaining_core()
-        if victim_core is not None:
-            victim = victim_core.current_task
-            if (
-                victim is not None
-                and victim.remaining > task.remaining + self.preemption_margin
-            ):
-                self.sim.stop_task(victim, victim_core, preempted=True)
-                self._push(victim)
-                self.sim.start_task(task, victim_core)
-                return
-        self._push(task)
-
-    def on_task_finished(self, task: Task, core: Core) -> None:
-        next_task = self._pop()
-        if next_task is not None:
-            self.sim.start_task(next_task, core)
-
-    # ---------------------------------------------------------------- helpers
-
-    def _longest_remaining_core(self) -> Optional[Core]:
-        """Busy core whose running task has the most remaining work."""
-        busy = [
-            core
-            for core in self.machine.group_cores(self.default_group())
-            if core.is_busy and not core.locked
-        ]
-        if not busy:
-            return None
-        return max(busy, key=lambda c: c.current_task.remaining)
+    def _heap_key(self, task: Task) -> float:
+        return task.remaining

@@ -71,12 +71,13 @@ class HookBus:
         setattr(self, hook, getattr(self, hook) + (callback,))
 
 
-def bind_cluster(feature, cluster) -> None:
-    """Point ``feature.cluster`` at ``cluster``; a fleet feature serves one."""
-    bound = getattr(feature, "cluster", None)
+def bind_cluster(feature, cluster, attr: str = "cluster") -> None:
+    """Point ``feature.<attr>`` at ``cluster`` (or at what stands for it,
+    such as a middleware's chain); a fleet feature serves one cluster."""
+    bound = getattr(feature, attr, None)
     if bound is not None and bound is not cluster:
         raise ValueError(
             f"this {type(feature).__name__} is already attached to another "
             "cluster; build one per cluster"
         )
-    feature.cluster = cluster
+    setattr(feature, attr, cluster)

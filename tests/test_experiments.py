@@ -143,6 +143,15 @@ class TestRunnerCLI:
         assert run_cli(["--scenario", str(path)]) == 1
         assert "cannot load scenario" in capsys.readouterr().err
 
+    def test_scenario_file_unknown_workload_source(self, capsys, tmp_path):
+        path = tmp_path / "nope.json"
+        path.write_text('{"workload": {"source": "nope"}, "num_nodes": 2}')
+        assert run_cli(["--scenario", str(path), "--scale", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workload.source names unknown workload 'nope'")
+        for name in ("ten_minute", "two_minute"):
+            assert name in err
+
     def test_unknown_experiment_fails(self, capsys):
         assert run_cli(["fig99", "--scale", "0.05"]) == 1
 

@@ -374,6 +374,17 @@ class TestMiddlewareChain:
         with pytest.raises(ValueError, match="MiddlewareChain"):
             ClusterSimulator(tiny_cluster_config(), middleware=chain)
 
+    def test_middleware_instance_serves_one_cluster(self):
+        """Listing one instance on a second cluster must not rebind it: the
+        first cluster's admission would then read the second fleet."""
+        admission = AdmissionControlMiddleware(max_queue_depth=1)
+        config = tiny_cluster_config(num_nodes=1)
+        first = ClusterSimulator(config, middleware=[admission])
+        with pytest.raises(ValueError, match="AdmissionControlMiddleware"):
+            ClusterSimulator(config, middleware=[admission])
+        first.submit(build_tasks([(0.0, 2.0)] * 6))
+        assert first.run().tasks_rejected == 4
+
     def test_empty_chain_collapses_to_no_middleware(self):
         tasks = build_tasks([(0.0, 0.1)])
         result = simulate_cluster(

@@ -26,11 +26,14 @@ from repro.simulation.task import Task
 def function_key(task: Task) -> str:
     """Stable identifier of the serverless function a task invokes.
 
-    Falls through empty identifiers: a ``function_id`` of ``None`` or ``""``
-    and an empty ``name`` both defer to the unique task id, so anonymous
-    tasks never collide on one hash-ring key.
+    Reads the task's ``function_id`` field, then a ``"function_id"``
+    metadata entry, then its ``name``, then its task id.  Empty identifiers
+    fall through (``None`` or ``""``), so anonymous tasks never collide on
+    one hash-ring key.
     """
-    function_id = task.metadata.get("function_id")
+    function_id = task.function_id
+    if function_id is None or str(function_id) == "":
+        function_id = task.metadata.get("function_id")
     if function_id is not None and str(function_id) != "":
         return str(function_id)
     if task.name:

@@ -207,6 +207,14 @@ class WorkStealingPolicy(MigrationPolicy):
         active = [node for node in nodes if node.is_active]
         if not active:
             return []
+        # Phases 1 and 1b need a draining node and phase 2 needs both an
+        # idle core and a backlog, so most ticks end here without copying
+        # any queue (both counts are O(1)).
+        if not any(node.state is NodeState.DRAINING for node in nodes) and (
+            not any(node.idle_core_count() > 0 for node in active)
+            or not any(node.stealable_count() > 0 for node in active)
+        ):
+            return []
 
         # Working copies: backlog and appetite mutate as moves are planned so
         # one tick never overshoots (the herd effect of stale load signals).

@@ -272,9 +272,8 @@ class ClusterNode:
         self.end_ingress()
         self.tasks_ingressed += 1
         self.ingress_wait_total += self.dispatch_delay
-        task.metadata["ingress_wait"] = (
-            task.metadata.get("ingress_wait", 0.0) + self.dispatch_delay
-        )
+        metadata = task.metadata
+        metadata["ingress_wait"] = metadata.get("ingress_wait", 0.0) + self.dispatch_delay
         self.deliver(task, now, force=self.state is NodeState.DRAINING)
 
     # --------------------------------------------------------------- stealing

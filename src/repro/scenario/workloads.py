@@ -7,9 +7,9 @@ subset) are registered here; experiments and users can register additional
 sources with :func:`register_workload`.
 
 Builders return *fresh* :class:`~repro.simulation.task.Task` lists on every
-call (tasks carry mutable bookkeeping); the immutable workload items behind
-them are cached, so repeated runs of the same scenario are cheap and — the
-generators being seeded — bit-identical.
+call (tasks carry mutable bookkeeping); the immutable columnar workload items
+behind them are cached, so repeated runs of the same scenario are cheap and —
+the generators being seeded — bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.workload.generator import (
     PAPER_FIRECRACKER_INVOCATIONS,
     PAPER_TWO_MINUTE_INVOCATIONS,
     WorkloadGenerator,
-    WorkloadItem,
+    WorkloadItems,
     WorkloadSpec,
     items_to_tasks,
 )
@@ -96,14 +96,13 @@ def create_workload(name: str, **params) -> List[Task]:
 
 
 @lru_cache(maxsize=8)
-def _workload_items(minutes: int, limit: Optional[int]) -> tuple:
-    """Cache workload items (immutable); tasks are rebuilt per run."""
+def _workload_items(minutes: int, limit: Optional[int]) -> WorkloadItems:
+    """Cache workload items (immutable columns); tasks are rebuilt per run."""
     trace = generate_trace(AzureTraceConfig(minutes=max(minutes, 2)))
     pipeline = ExtractionPipeline(calibration=default_calibration_table())
     buckets = pipeline.run(trace)
     generator = WorkloadGenerator(buckets)
-    items = generator.generate_items(WorkloadSpec(minutes=minutes, limit=limit))
-    return tuple(items)
+    return generator.generate_items(WorkloadSpec(minutes=minutes, limit=limit))
 
 
 def scaled_limit(base: int, scale: float) -> int:
@@ -116,28 +115,27 @@ def scaled_limit(base: int, scale: float) -> int:
 def two_minute_workload(scale: float = 1.0) -> List[Task]:
     """Fresh tasks for the paper's 12,442-invocation (~2 minute) workload."""
     limit = scaled_limit(PAPER_TWO_MINUTE_INVOCATIONS, scale)
-    return items_to_tasks(list(_workload_items(2, limit)))
+    return items_to_tasks(_workload_items(2, limit))
 
 
 def ten_minute_workload(scale: float = 1.0) -> List[Task]:
     """Fresh tasks for the paper's 10-minute workload (utilization studies)."""
-    items = list(_workload_items(10, None))
+    items = _workload_items(10, None)
     if scale < 1.0:
         keep = scaled_limit(len(items), scale)
         items = items[:keep]
     return items_to_tasks(items)
 
 
-def two_minute_items(scale: float = 1.0) -> List[WorkloadItem]:
+def two_minute_items(scale: float = 1.0) -> WorkloadItems:
     limit = scaled_limit(PAPER_TWO_MINUTE_INVOCATIONS, scale)
-    return list(_workload_items(2, limit))
+    return _workload_items(2, limit)
 
 
 def firecracker_invocations(scale: float = 1.0) -> List[Task]:
     """First invocations of the 10-minute workload used for Firecracker runs."""
     limit = scaled_limit(PAPER_FIRECRACKER_INVOCATIONS, scale)
-    items = list(_workload_items(10, None))[:limit]
-    return items_to_tasks(items)
+    return items_to_tasks(_workload_items(10, None)[:limit])
 
 
 register_workload("two_minute", two_minute_workload)

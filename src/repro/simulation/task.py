@@ -19,6 +19,13 @@ when a scheduler reads ``task.remaining``, when the task is descheduled, or
 when it completes.  Detached tasks store the value directly.  Readers and
 writers go through one property either way, so scheduler code is oblivious
 to which regime a task is in.
+
+Tasks are kept lean because a run holds tens of thousands of them.  The
+generator's ``function_id`` label is a plain field, and ``metadata`` is
+allocated on first access: a task that nothing annotates never gets a
+dict.  ``metadata`` is a property over the ``_metadata`` slot, not a
+``__getattr__`` fallback, because defining ``__getattr__`` slows every
+attribute load on the class.
 """
 
 from __future__ import annotations
@@ -59,7 +66,11 @@ class Task:
         fibonacci_n: Fibonacci argument used to emulate this duration, if the
             task came out of the calibration pipeline.
         deadline: Optional absolute deadline, only used by the EDF policy.
-        metadata: Free-form dictionary for experiment-specific annotations.
+        metadata: Free-form dictionary for experiment-specific annotations,
+            allocated on first access.
+        function_id: Label of the serverless function this task invokes
+            (e.g. ``"fib(38)/128mb"``), shared by all its invocations; the
+            locality-aware dispatchers route on it.
         weight: Fair-share weight (nice level / cgroup shares analogue).  A
             task with weight 2.0 receives twice the service rate of a
             weight-1.0 task sharing the same core; run-to-completion cores
@@ -73,8 +84,10 @@ class Task:
     name: str = ""
     fibonacci_n: Optional[int] = None
     deadline: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
+    #: Backing slot of ``metadata``: None until the dict is first read.
+    _metadata: Optional[dict] = field(default=None, repr=False)
     weight: float = 1.0
+    function_id: Optional[str] = None
 
     # --- dynamic bookkeeping -------------------------------------------------
     state: TaskState = TaskState.CREATED
@@ -105,6 +118,7 @@ class Task:
         deadline: Optional[float] = None,
         metadata: Optional[dict] = None,
         weight: float = 1.0,
+        function_id: Optional[str] = None,
     ) -> None:
         # Chained comparisons are False for NaN, so non-finite values fail too.
         if not 0.0 < service_time < inf:
@@ -131,14 +145,29 @@ class Task:
         self.name = name
         self.fibonacci_n = fibonacci_n
         self.deadline = deadline
-        self.metadata = {} if metadata is None else metadata
+        self._metadata = metadata
         self.weight = weight
+        self.function_id = function_id
         self.state = TaskState.CREATED
         self.first_run_time = self.completion_time = self.last_core = self._core = None
         self.cpu_time_received = self.vruntime = 0.0
         self.preemptions = self.migrations = 0
         self.groups_visited = ()
         self._remaining = float(service_time)
+
+    # --- annotations ---------------------------------------------------------
+
+    @property
+    def metadata(self) -> dict:
+        """Free-form annotations; the dict is allocated on first access."""
+        metadata = self._metadata
+        if metadata is None:
+            metadata = self._metadata = {}
+        return metadata
+
+    @metadata.setter
+    def metadata(self, value: dict) -> None:
+        self._metadata = value
 
     # --- remaining work (sync-on-read) ---------------------------------------
 

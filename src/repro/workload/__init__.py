@@ -26,7 +26,12 @@ from repro.workload.calibration import (
 )
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
 from repro.workload.fibonacci import fibonacci, fibonacci_recursive_cost
-from repro.workload.generator import WorkloadGenerator, WorkloadItem, WorkloadSpec
+from repro.workload.generator import (
+    WorkloadGenerator,
+    WorkloadItem,
+    WorkloadItems,
+    WorkloadSpec,
+)
 from repro.workload.memory import MemoryDistribution
 from repro.workload.streaming import (
     BucketStreamSource,
@@ -59,6 +64,7 @@ __all__ = [
     "fibonacci_recursive_cost",
     "WorkloadGenerator",
     "WorkloadItem",
+    "WorkloadItems",
     "WorkloadSpec",
     "MemoryDistribution",
     "load_workload_csv",

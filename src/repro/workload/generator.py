@@ -2,8 +2,9 @@
 
 From the downscaled trace buckets, the generator computes per-minute
 inter-arrival times (each bucket's invocations arrive at regular intervals
-within their minute), merges and sorts all invocations, and emits
-:class:`WorkloadItem` rows / :class:`~repro.simulation.task.Task` objects.
+within their minute), merges and sorts all invocations, and emits them as
+:class:`WorkloadItems` (four sorted columns) or as
+:class:`~repro.simulation.task.Task` objects.
 
 Convenience builders reproduce the two workloads the paper uses:
 
@@ -15,17 +16,27 @@ Convenience builders reproduce the two workloads the paper uses:
 
 from __future__ import annotations
 
-import numbers
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simulation.task import Task
+from repro.spec import Spec, validate
 from repro.workload.azure import AzureTraceConfig, SyntheticAzureTrace, generate_trace
 from repro.workload.calibration import CalibrationTable, default_calibration_table
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
+
+#: The checks one workload item and a whole column share: ``(field, test,
+#: rule)``.  Each test takes a number or a numpy array; comparisons are False
+#: for NaN, so non-finite values fail too.
+_ITEM_CHECKS = (
+    ("arrival_time", lambda v: (0.0 <= v) & (v < inf), "finite, >= 0"),
+    ("duration", lambda v: (0.0 < v) & (v < inf), "positive and finite"),
+    ("memory_mb", lambda v: v > 0, "positive"),
+)
 
 
 @dataclass(frozen=True)
@@ -38,22 +49,61 @@ class WorkloadItem:
     memory_mb: int
 
     def __post_init__(self) -> None:
-        # Chained comparisons are False for NaN, so non-finite values fail too.
-        if not 0.0 <= self.arrival_time < inf:
-            raise ValueError(f"arrival_time must be finite, >= 0, got {self.arrival_time!r}")
-        if not 0.0 < self.duration < inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if self.memory_mb <= 0:
-            raise ValueError(f"memory_mb must be positive, got {self.memory_mb!r}")
+        for name, test, rule in _ITEM_CHECKS:
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _is_int(value) -> bool:
-    """An integer, but not a bool (``True`` would pass as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class WorkloadItems(SequenceABC):
+    """Workload items held as four columns, one Python tuple per field.
+
+    The constructor takes the ``arrival_time``, ``fibonacci_n``, ``duration``
+    and ``memory_mb`` columns (arrays or sequences of equal length), runs
+    :class:`WorkloadItem`'s checks once per column, with the same messages,
+    and keeps the values as Python floats and ints.  Indexing and iteration
+    yield :class:`WorkloadItem` objects built on demand; a slice is another
+    ``WorkloadItems`` over the same value objects.  :func:`items_to_tasks`
+    reads :attr:`columns` directly, so no per-item object is kept and every
+    task list built from one ``WorkloadItems`` shares its float objects.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, arrival_time, fibonacci_n, duration, memory_mb) -> None:
+        arrays = {
+            "arrival_time": np.asarray(arrival_time),
+            "fibonacci_n": np.asarray(fibonacci_n),
+            "duration": np.asarray(duration),
+            "memory_mb": np.asarray(memory_mb),
+        }
+        lengths = {name: len(array) for name, array in arrays.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"workload columns differ in length: {lengths}")
+        for name, test, rule in _ITEM_CHECKS:
+            values = arrays[name]
+            bad = np.flatnonzero(~test(values))
+            if bad.size:
+                raise ValueError(f"{name} must be {rule}, got {values[bad[0]].item()!r}")
+        #: ``(arrival_time, fibonacci_n, duration, memory_mb)`` tuples.
+        self.columns = tuple(tuple(array.tolist()) for array in arrays.values())
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = object.__new__(WorkloadItems)
+            part.columns = tuple(column[index] for column in self.columns)
+            return part
+        return WorkloadItem(*(column[index] for column in self.columns))
+
+    def __iter__(self) -> Iterator[WorkloadItem]:
+        return map(WorkloadItem, *self.columns)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """What slice of the trace to turn into a workload."""
 
     minutes: int = 2
@@ -62,12 +112,9 @@ class WorkloadSpec:
     duration_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if not _is_int(self.minutes):
-            raise TypeError(f"minutes must be an integer, got {self.minutes!r}")
+        validate(self)
         if self.minutes <= 0:
             raise ValueError(f"minutes must be positive, got {self.minutes!r}")
-        if self.limit is not None and not _is_int(self.limit):
-            raise TypeError(f"limit must be an integer or None, got {self.limit!r}")
         if self.limit is not None and self.limit <= 0:
             raise ValueError(f"limit must be positive when set, got {self.limit!r}")
         if not 0 <= self.duration_jitter < 1:
@@ -104,23 +151,24 @@ def bucket_cell(
     return arrival, np.full(count, bucket.fibonacci_n, dtype=np.int64), duration, memory
 
 
-def sorted_rows(cells: Iterable[Optional[tuple]], limit: Optional[int] = None) -> Iterable:
-    """Merge cells into ``(arrival_time, fibonacci_n, duration, memory_mb)`` rows.
+def sorted_columns(
+    cells: Iterable[Optional[tuple]], limit: Optional[int] = None
+) -> List[np.ndarray]:
+    """Merge cells into ``[arrival_time, fibonacci_n, duration, memory_mb]`` arrays.
 
     Rows are sorted by ``(arrival_time, fibonacci_n)`` with ties in cell order
-    (``np.lexsort`` is stable), cut at ``limit``, and hold Python floats and ints.
-    They are yielded one at a time, so no list of row tuples is kept alive.
+    (``np.lexsort`` is stable) and cut at ``limit``.
     """
     cells = [cell for cell in cells if cell is not None]
     if not cells:
-        return []
+        return [np.empty(0)] * 4
     columns = [np.concatenate(column) for column in zip(*cells)]
     order = np.lexsort((columns[1], columns[0]))[:limit]
-    return zip(*(column[order].tolist() for column in columns))
+    return [column[order] for column in columns]
 
 
 class WorkloadGenerator:
-    """Turns trace buckets into a sorted list of workload items / tasks."""
+    """Turns trace buckets into sorted, columnar workload items or tasks."""
 
     def __init__(self, buckets: Sequence[TraceBucket]) -> None:
         if not buckets:
@@ -129,15 +177,15 @@ class WorkloadGenerator:
 
     # ------------------------------------------------------------------ items
 
-    def generate_items(self, spec: WorkloadSpec) -> List[WorkloadItem]:
-        """Generate workload items for the first ``spec.minutes`` minutes."""
+    def generate_items(self, spec: WorkloadSpec) -> WorkloadItems:
+        """Workload items for the first ``spec.minutes`` minutes, as columns."""
         rng = np.random.default_rng(spec.seed)
         cells = (
             bucket_cell(bucket, minute, rng, spec.duration_jitter)
             for bucket in self.buckets
             for minute in range(spec.minutes)
         )
-        return [WorkloadItem(*row) for row in sorted_rows(cells, spec.limit)]
+        return WorkloadItems(*sorted_columns(cells, spec.limit))
 
     def generate_tasks(self, spec: WorkloadSpec) -> List[Task]:
         """Generate :class:`Task` objects ready to submit to a simulator."""
@@ -176,14 +224,13 @@ class WorkloadGenerator:
 def rows_to_tasks(rows: Iterable[tuple], first_task_id: int = 0) -> List[Task]:
     """Tasks from sorted ``(arrival_time, fibonacci_n, duration, memory_mb)`` rows.
 
-    Ids follow row order from ``first_task_id``.  Each task carries a
-    ``function_id`` in its metadata identifying the serverless function it
-    is an invocation of (same Fibonacci argument and memory size ⇒ same
-    function); locality-aware cluster dispatchers route on this id so
-    repeat invocations land on the same node.  All invocations of one
-    function share one ``name`` and one ``function_id`` string, but each
-    task gets its own metadata dict: node delivery, retries and
-    checkpointing write into it.
+    Ids follow row order from ``first_task_id``.  Each task's ``function_id``
+    names the serverless function it is an invocation of (same Fibonacci
+    argument and memory size ⇒ same function); locality-aware cluster
+    dispatchers route on it so repeat invocations land on the same node.
+    All invocations of one function share one ``name`` and one
+    ``function_id`` string.  No task gets a metadata dict here: the first
+    write (node delivery, retries, checkpointing) allocates its own.
     """
     labels: Dict[tuple, tuple] = {}
     tasks: List[Task] = []
@@ -192,15 +239,21 @@ def rows_to_tasks(rows: Iterable[tuple], first_task_id: int = 0) -> List[Task]:
         if label is None:
             name = f"fib({fibonacci_n})"
             label = labels[fibonacci_n, memory_mb] = (name, f"{name}/{memory_mb}mb")
-        metadata = {"function_id": label[1]}
         tasks.append(
-            Task(task_id, arrival, duration, memory_mb, label[0], fibonacci_n, None, metadata)
+            Task(task_id, arrival, duration, memory_mb, label[0], fibonacci_n,
+                 function_id=label[1])
         )
     return tasks
 
 
 def items_to_tasks(items: Sequence[WorkloadItem]) -> List[Task]:
-    """Convert workload items into simulator tasks (ids follow arrival order)."""
+    """Convert workload items into simulator tasks (ids follow arrival order).
+
+    :class:`WorkloadItems` are read column by column, without building an
+    item per row.
+    """
+    if isinstance(items, WorkloadItems):
+        return rows_to_tasks(zip(*items.columns))
     return rows_to_tasks(
         (item.arrival_time, item.fibonacci_n, item.duration, item.memory_mb)
         for item in items

@@ -42,7 +42,7 @@ from repro.spec import Spec, validate
 from repro.workload.azure import AzureTraceConfig, FunctionProfile, SyntheticAzureTrace
 from repro.workload.calibration import CalibrationTable, default_calibration_table
 from repro.workload.extraction import ExtractionPipeline, TraceBucket
-from repro.workload.generator import WorkloadSpec, bucket_cell, rows_to_tasks, sorted_rows
+from repro.workload.generator import WorkloadSpec, bucket_cell, rows_to_tasks, sorted_columns
 
 #: Metrics-cap policies understood by :func:`repro.simulation.columns
 #: .build_columns_store` (validated here so a bad spec fails at parse time).
@@ -190,7 +190,9 @@ class BucketStreamSource(StreamingWorkload):
             )
             for bucket in self.buckets
         )
-        return rows_to_tasks(sorted_rows(cells, limit), first_task_id)
+        # Rows of Python values, zipped lazily: no list of row tuples is kept.
+        rows = zip(*(column.tolist() for column in sorted_columns(cells, limit)))
+        return rows_to_tasks(rows, first_task_id)
 
 
 def trace_stream_source(

@@ -83,7 +83,7 @@ def _stream_rows(**options) -> str:
             task.memory_mb,
             task.task_id,
             task.name,
-            task.metadata["function_id"],
+            task.function_id,
         )
         for batch in source.batches()
         for task in batch

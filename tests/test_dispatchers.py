@@ -41,6 +41,29 @@ class TestFunctionKey:
         task.metadata["function_id"] = "fib(30)/128mb"
         assert function_key(task) == "fib(30)/128mb"
 
+    @pytest.mark.parametrize(
+        "field, entry, name, want",
+        [
+            ("fib(30)/128mb", "meta-id", "fib(30)", "fib(30)/128mb"),
+            (None, "meta-id", "fib(30)", "meta-id"),
+            ("", "meta-id", "fib(30)", "meta-id"),
+            (None, None, "fib(30)", "fib(30)"),
+            ("", "", "fib(30)", "fib(30)"),
+            (None, None, "", "task-7"),
+            ("", "", "", "task-7"),
+        ],
+    )
+    def test_precedence_field_metadata_name_id(self, field, entry, name, want):
+        task = Task(7, 0.0, 1.0, name=name, function_id=field)
+        if entry is not None:
+            task.metadata["function_id"] = entry
+        assert function_key(task) == want
+
+    def test_generated_task_keys_on_its_field_without_metadata(self):
+        task = Task(0, 0.0, 1.0, name="fib(30)", function_id="fib(30)/256mb")
+        assert function_key(task) == "fib(30)/256mb"
+        assert task._metadata is None
+
     def test_falls_back_to_name_then_id(self):
         named = make_task(task_id=3)
         named.name = "fib(30)"

@@ -51,6 +51,7 @@ class StubNode:
         self.capacity = capacity
         self.inflight = queued if inflight is None else inflight
         self._idle = idle
+        self.stealable_calls = 0
         self._queued = [
             Task(task_id=node_id * 1000 + i, arrival_time=0.0, service_time=1.0)
             for i in range(queued)
@@ -61,7 +62,11 @@ class StubNode:
         return self.state is NodeState.ACTIVE
 
     def stealable_tasks(self):
+        self.stealable_calls += 1
         return list(self._queued)
+
+    def stealable_count(self):
+        return len(self._queued)
 
     def idle_core_count(self):
         return self._idle
@@ -109,6 +114,20 @@ class TestWorkStealingPlan:
         policy = WorkStealingPolicy()
         nodes = [StubNode(0, queued=0, idle=2), StubNode(1, queued=0, idle=2)]
         assert policy.plan(nodes, now=0.0) == []
+
+    @pytest.mark.parametrize(
+        "queued, idle",
+        [((9, 1), (0, 0)), ((0, 0), (2, 2))],
+        ids=["no-appetite", "no-backlog"],
+    )
+    def test_idle_tick_copies_no_queue(self, queued, idle):
+        """With no draining node, a tick lacking idle cores or a backlog
+        returns before building any node's stealable list."""
+        policy = WorkStealingPolicy(checkpoint=True)
+        nodes = [StubNode(i, queued=q, idle=n) for i, (q, n) in enumerate(zip(queued, idle))]
+        nodes.append(StubNode(2, queued=3, idle=1, state=NodeState.RETIRED))
+        assert policy.plan(nodes, now=0.0) == []
+        assert [node.stealable_calls for node in nodes] == [0, 0, 0]
 
     def test_capacity_normalisation_picks_hottest_victim(self):
         """4 queued on capacity 8 (0.5) is cooler than 3 queued on capacity 2."""

@@ -46,6 +46,38 @@ class TestTaskValidation:
         assert task.state is TaskState.CREATED
 
 
+class TestLazyMetadata:
+    def test_no_dict_until_first_access(self):
+        task = make_task()
+        assert task._metadata is None
+        assert task.metadata is task.metadata
+        assert task._metadata == {}
+
+    def test_writes_persist(self):
+        task = make_task()
+        task.metadata["node_id"] = 3
+        task.metadata["retries"] = task.metadata.get("retries", 0) + 1
+        assert task.metadata == {"node_id": 3, "retries": 1}
+        task.metadata = {"replaced": True}
+        assert task.metadata == {"replaced": True}
+
+    def test_tasks_never_share_a_dict(self):
+        tasks = make_tasks([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)])
+        for index, task in enumerate(tasks):
+            task.metadata["index"] = index
+        assert [task.metadata for task in tasks] == [{"index": i} for i in range(3)]
+        assert len({id(task.metadata) for task in tasks}) == 3
+
+    def test_given_dict_is_kept(self):
+        given = {"role": "vcpu"}
+        task = Task(0, 0.0, 1.0, metadata=given)
+        assert task.metadata is given
+
+    def test_task_defines_no_getattr_fallback(self):
+        """A ``__getattr__`` would put every attribute load on the slow path."""
+        assert not hasattr(Task, "__getattr__")
+
+
 class TestTaskLifecycle:
     def test_metrics_follow_ostep_definitions(self):
         task = make_task(arrival=10.0, service=2.0)

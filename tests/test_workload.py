@@ -1,8 +1,5 @@
 """Tests for the workload substrate: Fibonacci, calibration, trace, pipeline."""
 
-import sys
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,6 +21,7 @@ from repro.workload.fibonacci import (
 from repro.workload.generator import (
     WorkloadGenerator,
     WorkloadItem,
+    WorkloadItems,
     WorkloadSpec,
     build_workload,
     items_to_tasks,
@@ -212,7 +210,7 @@ class TestWorkloadGenerator:
             TraceBucket(25, 0.05, np.array([3.0, 7.0, 4.0])),
             TraceBucket(30, 0.9, np.array([3.0, 5.0, 1.0]), [512.0, 1024.0], [0.5, 0.5]),
         ]
-        got = WorkloadGenerator(buckets).generate_items(spec)
+        got = list(WorkloadGenerator(buckets).generate_items(spec))
         want = loop_reference_items(buckets, spec)
         assert got == want
         assert [tuple(map(type, vars(i).values())) for i in got] == [
@@ -288,29 +286,79 @@ class TestWorkloadGenerator:
         ]
         first, other_memory, second = items_to_tasks(items)
         assert first.name is second.name and first.name == "fib(36)"
-        fid = first.metadata["function_id"]
-        assert fid is second.metadata["function_id"] and fid == "fib(36)/128mb"
-        assert other_memory.metadata["function_id"] == "fib(36)/256mb"
+        fid = first.function_id
+        assert fid is second.function_id and fid == "fib(36)/128mb"
+        assert other_memory.function_id == "fib(36)/256mb"
         assert first.metadata is not second.metadata
         first.metadata["attempt"] = 2
         assert "attempt" not in second.metadata
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 10), reason="Task has no __slots__ before Python 3.10"
+
+def item_columns():
+    return {
+        "arrival_time": [0.0, 0.5, 1.0],
+        "fibonacci_n": [36, 37, 38],
+        "duration": [0.2, 0.3, 0.4],
+        "memory_mb": [128, 256, 512],
+    }
+
+
+class TestWorkloadItems:
+    def test_sequence_of_items(self):
+        items = WorkloadItems(**item_columns())
+        assert len(items) == 3
+        assert items[1] == WorkloadItem(0.5, 37, 0.3, 256)
+        assert items[-1] == WorkloadItem(1.0, 38, 0.4, 512)
+        assert list(items) == [WorkloadItem(*row) for row in zip(*item_columns().values())]
+        with pytest.raises(IndexError):
+            items[3]
+
+    def test_slice_shares_value_objects(self):
+        items = WorkloadItems(**item_columns())
+        part = items[1:]
+        assert isinstance(part, WorkloadItems)
+        assert list(part) == list(items)[1:]
+        assert part.columns[0][0] is items.columns[0][1]
+        assert items_to_tasks(part)[0].arrival_time is items.columns[0][1]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_time", -1.0),
+            ("arrival_time", float("nan")),
+            ("arrival_time", float("inf")),
+            ("duration", 0.0),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("memory_mb", 0),
+            ("memory_mb", -128),
+        ],
     )
-    def test_bytes_per_task_budget(self):
-        """A built task stays at or under 450 B (587 B with per-task labels)."""
-        trace = generate_trace(AzureTraceConfig(minutes=2))
+    def test_column_checks_match_item_checks(self, field, value):
+        columns = item_columns()
+        columns[field][2] = value
+        with pytest.raises(ValueError, match=field) as from_columns:
+            WorkloadItems(**columns)
+        with pytest.raises(ValueError) as from_item:
+            WorkloadItem(**{name: column[2] for name, column in columns.items()})
+        assert str(from_columns.value) == str(from_item.value)
+
+    def test_columns_must_have_one_length(self):
+        columns = item_columns()
+        columns["duration"].pop()
+        with pytest.raises(ValueError, match="differ in length"):
+            WorkloadItems(**columns)
+
+    def test_generated_items_are_columns(self):
+        trace = generate_trace(AzureTraceConfig(minutes=2, num_functions=200))
         generator = WorkloadGenerator(ExtractionPipeline().run(trace))
-        items = generator.generate_items(WorkloadSpec(minutes=2, limit=5_000))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tasks = items_to_tasks(items)
-            per_task = (tracemalloc.get_traced_memory()[0] - before) / len(tasks)
-        finally:
-            tracemalloc.stop()
-        assert per_task <= 450, f"{per_task:.0f} B per task"
+        items = generator.generate_items(WorkloadSpec(minutes=2, limit=300))
+        assert isinstance(items, WorkloadItems) and len(items) == 300
+        rows = [tuple(vars(item).values()) for item in items]
+        assert [
+            (t.arrival_time, t.fibonacci_n, t.service_time, t.memory_mb)
+            for t in items_to_tasks(items)
+        ] == rows
 
 
 class TestTraceIO:

@@ -33,7 +33,7 @@ def function_key(task: Task) -> str:
     """
     function_id = task.function_id
     if function_id is None or str(function_id) == "":
-        function_id = task.metadata.get("function_id")
+        function_id = task.annotation("function_id")
     if function_id is not None and str(function_id) != "":
         return str(function_id)
     if task.name:

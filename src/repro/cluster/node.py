@@ -218,7 +218,7 @@ class ClusterNode:
             raise RuntimeError(
                 f"cannot dispatch to node {self.node_id} in state {self.state.value}"
             )
-        task.metadata["node_id"] = self.node_id
+        task.node_id = self.node_id
         engine = self.engine
         self.inflight += 1
         self.tasks_assigned += 1
@@ -272,8 +272,7 @@ class ClusterNode:
         self.end_ingress()
         self.tasks_ingressed += 1
         self.ingress_wait_total += self.dispatch_delay
-        metadata = task.metadata
-        metadata["ingress_wait"] = metadata.get("ingress_wait", 0.0) + self.dispatch_delay
+        task.ingress_wait += self.dispatch_delay
         self.deliver(task, now, force=self.state is NodeState.DRAINING)
 
     # --------------------------------------------------------------- stealing

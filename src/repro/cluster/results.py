@@ -137,7 +137,7 @@ class ClusterResult:
                 counts[node_id] = int(stats.get("completed", 0.0))
             return counts
         for task in self.finished_tasks:
-            node_id = task.metadata.get("node_id")
+            node_id = task.node_id
             if node_id in counts:
                 counts[node_id] += 1
         return counts
@@ -192,16 +192,12 @@ class ClusterResult:
 
         Tasks dispatched with zero RTT (or before the network model existed)
         contribute 0.0, so the array always has one entry per finished task.
-        This materialises a per-task array (an O(tasks) metadata walk); for
+        This materialises a per-task array (an O(tasks) walk); for
         the aggregate, :meth:`mean_ingress_wait` answers from O(nodes)
         counters instead.
         """
         return np.array(
-            [
-                float(task.metadata.get("ingress_wait", 0.0))
-                for task in self.finished_tasks
-            ],
-            dtype=float,
+            [task.ingress_wait for task in self.finished_tasks], dtype=float
         )
 
     def mean_ingress_wait(self) -> float:
@@ -209,7 +205,7 @@ class ClusterResult:
 
         Answered from the per-node ``ingress_wait_total`` counters (O(nodes),
         the fleet-table hot path); hand-built results without node stats
-        fall back to the per-task metadata walk.  On runs cut off by a time
+        fall back to the per-task walk.  On runs cut off by a time
         limit the counters include tasks that landed but never finished, a
         deliberate slight overcount of the wire share.
         """
@@ -229,7 +225,7 @@ class ClusterResult:
         """Tasks that paid a wire delay landing on some node.
 
         Hand-built results without node stats fall back to counting tasks
-        carrying ``ingress_wait`` metadata, mirroring
+        with a positive ``ingress_wait``, mirroring
         :meth:`mean_ingress_wait` so the two never contradict each other.
         """
         if self.node_stats:
@@ -237,9 +233,7 @@ class ClusterResult:
                 int(stats.get("ingressed", 0.0))
                 for stats in self.node_stats.values()
             )
-        return sum(
-            1 for task in self.tasks if task.metadata.get("ingress_wait", 0.0) > 0.0
-        )
+        return sum(1 for task in self.tasks if task.ingress_wait > 0.0)
 
     # ------------------------------------------------------------- migration
 
@@ -255,14 +249,14 @@ class ClusterResult:
         return [
             task
             for task in self.tasks
-            if task.metadata.get("node_migrations", 0) > 0
+            if task.annotation("node_migrations", 0) > 0
         ]
 
     # ------------------------------------------------------------- middleware
 
     def rejected_tasks(self) -> List[Task]:
         """Tasks dropped by middleware (rejection reason in metadata)."""
-        return [t for t in self.tasks if "rejected" in t.metadata]
+        return [t for t in self.tasks if t.annotation("rejected") is not None]
 
     # ------------------------------------------------------------------ chaos
 
@@ -271,7 +265,7 @@ class ClusterResult:
         return [
             task
             for task in self.tasks
-            if task.metadata.get("node_failures", 0) > 0
+            if task.annotation("node_failures", 0) > 0
         ]
 
     def unserved_tasks(self) -> int:
@@ -354,7 +348,7 @@ def per_node_results(nodes, tasks, columns: TaskColumns, simulated_time: float):
     finished_on = {node.node_id: [] for node in nodes}
     for task in tasks:
         if task.is_finished:
-            finished_on[task.metadata["node_id"]].append(task)
+            finished_on[task.node_id].append(task)
     return {
         node.node_id: build_result(
             scheduler_name=getattr(

@@ -188,6 +188,13 @@ class ClusterSimulator(EventLoop):
         """Record one point of a named fleet-level time series."""
         record_series(self.series, name, self.now, value, self.telemetry)
 
+    def _record_change(self, name: str, value: float) -> None:
+        """Record a point of ``name`` only when ``value`` differs from the
+        series' last point, so read as a step function it is unchanged."""
+        points = self.series.get(name)
+        if not points or points[-1].value != value:
+            self.record_series(name, value)
+
     # ------------------------------------------------------------------- fleet
 
     def active_nodes(self) -> List[ClusterNode]:
@@ -446,7 +453,7 @@ class ClusterSimulator(EventLoop):
         release fires ``task_released``: the task now backs off until it
         re-enters admission (``task_resumed``).
         """
-        node_id = task.metadata.get("node_id")
+        node_id = task.node_id
         if node_id is None or not (0 <= node_id < len(self.nodes)):
             return False
         node = self.nodes[node_id]
@@ -510,19 +517,24 @@ class ClusterSimulator(EventLoop):
     # -------------------------------------------------------------- migration
 
     def _run_migration_pass(self, now: float) -> None:
-        """One tick of the migration policy: plan, validate, execute."""
+        """One tick of the migration policy: plan, validate, execute.
+
+        The tick's series (moves so far, each live node's queue depth) get
+        a point only where the value changed since the series' last one.
+        """
         plans = self.migration_policy.plan(self.nodes, now)
         for hook in self.hooks.migration_planned:
             hook(plans, now)
         for plan in plans:
             self._execute_migration(plan)
-        self.record_series(
+        record_change = self._record_change
+        record_change(
             "cluster.migrations",
             float(self.tasks_migrated + self._migrations_inflight),
         )
         for node in self.nodes:
             if node.state is not NodeState.RETIRED:
-                self.record_series(
+                record_change(
                     f"cluster.node{node.node_id}.queue_depth",
                     float(node.stealable_count()),
                 )

@@ -13,6 +13,12 @@ One store serves a whole run.  Each row carries the id of the cluster node
 the task finished on (:data:`NO_NODE` on a standalone machine), so per-node
 views are row selections of the one store rather than second copies.
 
+Appends land in a row buffer of plain tuples, which is converted into the
+structured array once it holds :data:`_FLUSH_ROWS` rows and on every read.
+The buffer is bounded so a long run never holds all its finished rows as
+Python tuples at once (about 130 B a row against 88 B in the array), and
+the conversion never needs both copies of every row side by side.
+
 The store records tasks in completion order.  Percentile/mean statistics are
 order-independent (within float rounding), and consumers that need a stable
 per-task ordering (CSV export) sort by ``task_id``.
@@ -56,6 +62,11 @@ TASK_COLUMNS_DTYPE = np.dtype(
 #: Initial capacity of an incrementally filled store.
 _INITIAL_CAPACITY = 256
 
+#: Rows the tuple buffer holds before ``append`` converts it into the
+#: structured array.  Large enough that the per-call cost of the numpy
+#: conversion is spread thin, small enough to keep the buffer under 1 MB.
+_FLUSH_ROWS = 4096
+
 #: Reservoir slots drawn per numpy call once a reservoir is past its cap.
 #: ``rng.integers(0, highs)`` over an array of consecutive bounds yields the
 #: same values as one scalar ``rng.integers(0, high)`` call per bound, so
@@ -68,9 +79,10 @@ class TaskColumns:
 
     Appends land in a row buffer of plain tuples (sub-µs on the completion
     hot path — structured-array row writes are ~10x more expensive) and are
-    flushed into the structured array in one vectorised conversion on first
-    read; reads between completions therefore stay cheap and every accessor
-    returns a numpy view/array, never a Python list.
+    flushed into the structured array in one vectorised conversion when the
+    buffer reaches :data:`_FLUSH_ROWS` rows or the store is read, so the
+    buffer never holds more than one chunk.  Every accessor returns a numpy
+    view/array, never a Python list.
     """
 
     __slots__ = ("_data", "_size", "_pending")
@@ -96,7 +108,8 @@ class TaskColumns:
         if task.state is not _FINISHED:
             raise ValueError(f"task {task.task_id} is not finished")
         last_core = task.last_core
-        self._pending.append(
+        pending = self._pending
+        pending.append(
             (
                 task.task_id,
                 task.arrival_time,
@@ -111,6 +124,8 @@ class TaskColumns:
                 node_id,
             )
         )
+        if len(pending) >= _FLUSH_ROWS:
+            self._flush()
 
     def _flush(self) -> None:
         """Convert buffered rows into the structured array (one C-level pass)."""
@@ -323,7 +338,10 @@ class ReservoirTaskColumns(TaskColumns):
             node_id,
         )
         if index < cap:
-            self._pending.append(row)
+            pending = self._pending
+            pending.append(row)
+            if len(pending) >= _FLUSH_ROWS:
+                self._flush()
         else:
             self._flush()
             self._data[slot] = row

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.simulation.columns import TaskColumns
 from repro.simulation.cpu import Core
-from repro.simulation.task import Task
+from repro.simulation.task import DATACLASS_KWARGS, Task
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,12 @@ class UtilizationSample:
         return self.per_group.get(name, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **DATACLASS_KWARGS)
 class SeriesPoint:
-    """One point of a scheduler-recorded named time series."""
+    """One point of a scheduler-recorded named time series.
+
+    Slotted: a fleet run keeps tens of thousands of these.
+    """
 
     time: float
     value: float

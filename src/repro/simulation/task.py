@@ -21,9 +21,11 @@ writers go through one property either way, so scheduler code is oblivious
 to which regime a task is in.
 
 Tasks are kept lean because a run holds tens of thousands of them.  The
-generator's ``function_id`` label is a plain field, and ``metadata`` is
-allocated on first access: a task that nothing annotates never gets a
-dict.  ``metadata`` is a property over the ``_metadata`` slot, not a
+generator's ``function_id`` label and a fleet run's placement (``node_id``,
+``ingress_wait``) are plain fields, and ``metadata`` is allocated on first
+access: a task that nothing annotates never gets a dict, and
+:meth:`Task.annotation` reads an entry without allocating one.
+``metadata`` is a property over the ``_metadata`` slot, not a
 ``__getattr__`` fallback, because defining ``__getattr__`` slows every
 attribute load on the class.
 """
@@ -66,8 +68,9 @@ class Task:
         fibonacci_n: Fibonacci argument used to emulate this duration, if the
             task came out of the calibration pipeline.
         deadline: Optional absolute deadline, only used by the EDF policy.
-        metadata: Free-form dictionary for experiment-specific annotations,
-            allocated on first access.
+        metadata: Free-form dictionary for rare annotations (``rejected``,
+            ``retries``, ``node_failures``, ``node_migrations``,
+            ``checkpoints``), allocated on first access.
         function_id: Label of the serverless function this task invokes
             (e.g. ``"fib(38)/128mb"``), shared by all its invocations; the
             locality-aware dispatchers route on it.
@@ -75,6 +78,11 @@ class Task:
             task with weight 2.0 receives twice the service rate of a
             weight-1.0 task sharing the same core; run-to-completion cores
             are unaffected.
+        node_id: Id of the cluster node the task was last delivered to, or
+            None while it has not reached one (always None on a standalone
+            machine).
+        ingress_wait: Seconds the task spent on the wire toward nodes under
+            a non-zero-RTT network model, summed over its landings.
     """
 
     task_id: int
@@ -98,6 +106,8 @@ class Task:
     migrations: int = 0
     vruntime: float = 0.0
     last_core: Optional[int] = None
+    node_id: Optional[int] = None
+    ingress_wait: float = 0.0
     #: Core groups the task was handed to; the hybrid scheduler replaces the
     #: shared empty tuple with a list on the first hand-off.
     groups_visited: Sequence[str] = ()
@@ -149,8 +159,9 @@ class Task:
         self.weight = weight
         self.function_id = function_id
         self.state = TaskState.CREATED
-        self.first_run_time = self.completion_time = self.last_core = self._core = None
-        self.cpu_time_received = self.vruntime = 0.0
+        self.first_run_time = self.completion_time = self.last_core = None
+        self.node_id = self._core = None
+        self.cpu_time_received = self.vruntime = self.ingress_wait = 0.0
         self.preemptions = self.migrations = 0
         self.groups_visited = ()
         self._remaining = float(service_time)
@@ -168,6 +179,13 @@ class Task:
     @metadata.setter
     def metadata(self, value: dict) -> None:
         self._metadata = value
+
+    def annotation(self, key: str, default=None):
+        """``metadata.get(key, default)`` that allocates no dict."""
+        metadata = self._metadata
+        if metadata is None:
+            return default
+        return metadata.get(key, default)
 
     # --- remaining work (sync-on-read) ---------------------------------------
 

@@ -30,7 +30,7 @@ class TestDispatchPlumbing:
         result = simulate_cluster(tasks, config=small_config())
         assert result.completion_ratio == 1.0
         for task in result.finished_tasks:
-            assert task.metadata["node_id"] in result.node_results
+            assert task.node_id in result.node_results
 
     def test_round_robin_spreads_across_nodes(self):
         tasks = make_tasks([(i * 0.01, 0.1) for i in range(8)])
@@ -165,8 +165,8 @@ class TestWholeFleetBootingOrDraining:
         result = cluster.run()
         assert result.completion_ratio == 1.0
         tasks = sorted(result.finished_tasks, key=lambda t: t.task_id)
-        replayer = tasks[0].metadata["node_id"]
-        assert all(task.metadata["node_id"] == replayer for task in tasks)
+        replayer = tasks[0].node_id
+        assert all(task.node_id == replayer for task in tasks)
         starts = [task.first_run_time for task in tasks]
         assert starts == sorted(starts)
         completions = [task.completion_time for task in tasks]
@@ -232,7 +232,7 @@ def run_signature(result):
     """Everything observable about a run, for bit-identical comparison."""
     return [
         (t.task_id, t.completion_time, t.first_run_time,
-         t.metadata.get("node_id"), t.metadata.get("node_migrations", 0))
+         t.node_id, t.metadata.get("node_migrations", 0))
         for t in result.tasks
     ]
 
@@ -273,7 +273,7 @@ class TestDeterminism:
         recorded = dict(zip(rows["task_id"].tolist(), rows["node_id"].tolist()))
         assert len(recorded) == len(rows) == len(result.tasks)
         for task in result.tasks:
-            assert recorded[task.task_id] == task.metadata["node_id"]
+            assert recorded[task.task_id] == task.node_id
         for node_id, node_result in result.node_results.items():
             view = node_result.task_columns().data
             assert (view["node_id"] == node_id).all()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.schedulers.fifo import FIFOScheduler
-from repro.simulation.columns import NO_CORE, NO_NODE, TaskColumns
+from repro.simulation.columns import (
+    _FLUSH_ROWS,
+    NO_CORE,
+    NO_NODE,
+    TASK_COLUMNS_DTYPE,
+    ReservoirTaskColumns,
+    TaskColumns,
+)
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.simulation.metrics import TaskMetricsSummary
@@ -96,6 +103,68 @@ class TestStore:
             columns.append(finished_task(task_id=i))
         assert len(columns) == 600
         assert list(columns.column("task_id")) == list(range(600))
+
+
+def varied_tasks(count):
+    """``count`` finished tasks, no two with the same row."""
+    tasks = []
+    for i in range(count):
+        task = make_task(
+            task_id=i,
+            arrival=i * 1e-3,
+            service=0.01 + (i % 13) * 1e-3,
+            memory_mb=128 * (1 + i % 3),
+        )
+        task.mark_running(i * 1e-3 + (i % 5) * 1e-4, core_id=i % 48)
+        task.account_service(task.service_time)
+        task.mark_finished(i * 1e-3 + 0.5 + (i % 11) * 1e-3)
+        tasks.append(task)
+    return tasks
+
+
+def one_pass_rows(tasks, node_of):
+    """The rows a single conversion of every buffered tuple produces."""
+    return np.array(
+        [
+            (
+                t.task_id, t.arrival_time, t.service_time, t.first_run_time,
+                t.completion_time, t.memory_mb, t.weight, t.preemptions,
+                t.migrations, t.last_core, node_of(t),
+            )
+            for t in tasks
+        ],
+        dtype=TASK_COLUMNS_DTYPE,
+    )
+
+
+class TestBoundedRowBuffer:
+    """Appends flush the tuple buffer a chunk at a time; reads are unchanged."""
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, _FLUSH_ROWS - 1, _FLUSH_ROWS, _FLUSH_ROWS + 1, 3 * _FLUSH_ROWS + 5],
+    )
+    def test_data_is_bit_identical_to_one_pass(self, count):
+        tasks = varied_tasks(count)
+        columns = TaskColumns()
+        for task in tasks:
+            columns.append(task, task.task_id % 7)
+            assert len(columns._pending) < _FLUSH_ROWS
+        assert len(columns) == count
+        expected = one_pass_rows(tasks, lambda t: t.task_id % 7)
+        assert columns.data.dtype == TASK_COLUMNS_DTYPE
+        assert columns.data.tobytes() == expected.tobytes()
+
+    def test_reservoir_below_its_cap_buffers_one_chunk_at_most(self):
+        count = 2 * _FLUSH_ROWS + 3
+        tasks = varied_tasks(count)
+        capped = ReservoirTaskColumns(cap=3 * _FLUSH_ROWS)
+        for task in tasks:
+            capped.append(task, 1)
+            assert len(capped._pending) < _FLUSH_ROWS
+        assert capped.sample_size() == len(capped) == count
+        expected = one_pass_rows(tasks, lambda t: 1)
+        assert capped.data.tobytes() == expected.tobytes()
 
 
 class TestSummaryEquivalence:

@@ -491,7 +491,7 @@ class TestClusterIntegration:
         assert result.tasks_rejected == len(rejected) > 0
         for task in rejected:
             assert task.metadata["rejected"] == "admission"
-            assert "node_id" not in task.metadata
+            assert task.node_id is None
             assert not task.is_finished
         assert len(result.finished_tasks) + len(rejected) == len(tasks)
 
@@ -667,7 +667,7 @@ def test_exactly_once_under_chaos_retry_and_stealing(specs):
 def test_rejected_tasks_never_land(specs):
     result = _run_chain(specs, [AdmissionControlMiddleware(max_queue_depth=1)])
     for task in result.rejected_tasks():
-        assert "node_id" not in task.metadata
+        assert task.node_id is None
         assert task.first_run_time is None
     assert len(result.finished_tasks) + result.tasks_rejected == len(specs)
 

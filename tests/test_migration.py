@@ -1,5 +1,7 @@
 """Work-stealing migration: policy planning, simulator integration, delays."""
 
+from bisect import bisect_right
+
 import pytest
 
 from repro.cluster import (
@@ -331,7 +333,7 @@ class TestSimulatorIntegration:
 
         first, second = run(), run()
         signature = lambda r: [
-            (t.task_id, t.completion_time, t.metadata.get("node_id"),
+            (t.task_id, t.completion_time, t.node_id,
              t.metadata.get("node_migrations", 0))
             for t in r.tasks
         ]
@@ -419,6 +421,63 @@ class TestSimulatorIntegration:
         ghost = Migration(task=task, source=node, target=cluster.nodes[1])
         assert not cluster._execute_migration(ghost)
         assert cluster.tasks_migrated == 0
+
+
+class TestChangeOnlySeries:
+    """A migration tick records a series point only where the value moved."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        """A stealing run, plus each tick's series values as hooks saw them."""
+        cluster = ClusterSimulator(config=hot_spot_config(num_nodes=3))
+        expected = {}  # series name -> {tick time: value after the tick}
+
+        def planned(plans, now):
+            expected.setdefault("cluster.migrations", {})[now] = float(
+                cluster.tasks_migrated + cluster._migrations_inflight
+            )
+            for node in cluster.nodes:
+                if node.state is not NodeState.RETIRED:
+                    name = f"cluster.node{node.node_id}.queue_depth"
+                    expected.setdefault(name, {})[now] = float(node.stealable_count())
+
+        def migrating(plan, now):
+            # The tick records after executing its plans: each move leaves
+            # its source's queue and is in flight.
+            assert not plan.running
+            expected["cluster.migrations"][now] += 1.0
+            expected[f"cluster.node{plan.source.node_id}.queue_depth"][now] -= 1.0
+
+        cluster.hooks.subscribe("migration_planned", planned)
+        cluster.hooks.subscribe("task_migrating", migrating)
+        cluster.submit(
+            pinned_tasks([(i * 0.03, 0.1 + (i % 5) * 0.05) for i in range(200)])
+        )
+        result = cluster.run()
+        assert result.completion_ratio == 1.0 and result.tasks_migrated > 20
+        return result, expected
+
+    def test_step_function_equals_every_tick(self, captured):
+        result, expected = captured
+        assert len(expected) == 4  # migrations plus three nodes' depths
+        for name, ticks in expected.items():
+            points = result.series_values(name)
+            times = [point.time for point in points]
+            for now, value in ticks.items():
+                last = bisect_right(times, now) - 1
+                assert last >= 0 and points[last].value == value, (name, now)
+
+    def test_no_two_consecutive_points_are_equal(self, captured):
+        result, expected = captured
+        kept = ticks = varied = 0
+        for name in expected:
+            values = [point.value for point in result.series_values(name)]
+            assert all(a != b for a, b in zip(values, values[1:])), name
+            varied += len(values) > 1
+            kept += len(values)
+            ticks += len(expected[name])
+        assert varied >= 2  # the migration count and the hot node's depth
+        assert kept < ticks / 2
 
 
 class TestDrainRescue:

@@ -92,7 +92,7 @@ class TestZeroRttEquivalence:
         assert result.tasks_ingressed() == 0
         assert result.mean_ingress_wait() == 0.0
         for task in result.finished_tasks:
-            assert "ingress_wait" not in task.metadata
+            assert task.ingress_wait == 0.0
 
     def test_zero_rtt_bit_identical_to_default_config(self):
         specs = [(i * 0.07, 0.3 + (i % 3) * 0.2) for i in range(24)]
@@ -120,7 +120,7 @@ class TestIngressQueues:
         assert result.completion_ratio == 1.0
         assert result.tasks_ingressed() == 6
         for task in result.finished_tasks:
-            assert task.metadata["ingress_wait"] == pytest.approx(0.3)
+            assert task.ingress_wait == pytest.approx(0.3)
             assert task.response_time == pytest.approx(0.3)
         assert result.mean_ingress_wait() == pytest.approx(0.3)
 
@@ -130,7 +130,7 @@ class TestIngressQueues:
             config=network_config(rtt=0.2, dispatcher="consistent_hash"),
         )
         for task in result.finished_tasks:
-            assert task.metadata["ingress_wait"] == pytest.approx(0.1)
+            assert task.ingress_wait == pytest.approx(0.1)
 
     def test_node_stats_count_ingress(self):
         result = simulate_cluster(
@@ -194,7 +194,7 @@ class TestIngressQueues:
             make_tasks([(0.0, 0.1), (0.0, 0.1)]), config=config
         )
         by_node = {
-            task.metadata["node_id"]: task for task in result.finished_tasks
+            task.node_id: task for task in result.finished_tasks
         }
         assert by_node[0].response_time == pytest.approx(0.0)  # local, rtt 0
         assert by_node[1].response_time == pytest.approx(0.2)  # one-way trip

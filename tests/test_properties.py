@@ -161,7 +161,7 @@ from repro.cluster.migration import WorkStealingPolicy  # noqa: E402
 def _cluster_signature(result):
     return [
         (t.task_id, t.completion_time, t.first_run_time,
-         t.metadata.get("node_id"), t.metadata.get("node_migrations", 0))
+         t.node_id, t.metadata.get("node_migrations", 0))
         for t in result.tasks
     ]
 

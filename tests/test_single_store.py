@@ -254,7 +254,7 @@ class TestLostTaskRecordedOnce:
         }
         recorded = node_of_row(result)
         for task in finished:
-            assert recorded[task.task_id] == task.metadata["node_id"]
+            assert recorded[task.task_id] == task.node_id
             if task.metadata.get("node_failures"):
                 assert recorded[task.task_id] not in failed
         assert_views_partition_store(result)

@@ -221,6 +221,23 @@ class TestExecutor:
         )
         assert results["sjf"].cost.total == direct.cost.total
 
+    def test_pooled_fleet_results_keep_their_series(self):
+        """Slotted SeriesPoints pickle back from worker processes intact."""
+        fleet = apply_overrides(
+            BASE,
+            {"num_nodes": 2, "cores_per_node": 1, "migration": "work_stealing"},
+        )
+        # Two points: a single point runs in-process, without a pool.
+        spec = SweepSpec(
+            base=fleet,
+            points=(PointSpec("fleet", {}), PointSpec("jsq", {"dispatcher": "jsq"})),
+        )
+        pooled = sweep_results(spec, jobs=2)
+        for label, overrides in (("fleet", {}), ("jsq", {"dispatcher": "jsq"})):
+            direct = run(apply_overrides(fleet, overrides)).result.series
+            assert any(name.endswith("queue_depth") for name in direct)
+            assert pooled[label].result.series == direct
+
     def test_failing_point_names_its_label(self):
         spec = SweepSpec(
             base=BASE,

@@ -4,33 +4,40 @@ Allocated bytes, unlike host time, do not depend on the machine: they
 change only when an object gains a field or a run starts keeping what it
 used to drop.  The paper's single-machine study holds 62,687 tasks per
 scheduler, so each case here bounds what one generated task or workload
-item costs, or checks that the single-machine path leaves per-task
-metadata unallocated.
+item costs, or checks that a run (single-machine or fleet) leaves the
+metadata of tasks nothing annotated unallocated.
 
-Bytes when the bounds were set (CPython 3.11, numpy 2.4), before → after
-workload items became columns and metadata became allocate-on-first-use:
+Bytes measured with CPython 3.11 and numpy 2.4, at three stages:
 
-==================  ======  =====
-case                before  after
-==================  ======  =====
-task                   410    236
-workload item          162     82
-==================  ======  =====
+==================  ======  =======  =========
+case                items   columns  placement
+==================  ======  =======  =========
+task                   410      236        252
+workload item          162       82         82
+==================  ======  =======  =========
 
-"Before" is a list of ``WorkloadItem`` objects; a task carried a
-``{"function_id": ...}`` dict.
+"Items" is a list of ``WorkloadItem`` objects, each task carrying a
+``{"function_id": ...}`` dict.  "Columns" made workload items columns and
+the metadata dict allocate-on-first-use.  "Placement" added the fleet's
+``node_id`` and ``ingress_wait`` fields, 8 B each, which a fleet run used
+to keep in every delivered task's metadata dict.
 """
 
 from __future__ import annotations
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster import ClusterConfig, NetworkSpec, simulate_cluster
+from repro.cluster.dispatchers import function_key
 from repro.core.config import PAPER_FIXED_TIME_LIMIT
+from repro.middleware import AdmissionControlMiddleware
 from repro.scenario import Scenario, run
 from repro.scenario.workloads import two_minute_workload
+from repro.simulation.task import make_tasks
 from repro.workload.azure import AzureTraceConfig, generate_trace
 from repro.workload.extraction import ExtractionPipeline
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, items_to_tasks
@@ -109,3 +116,36 @@ def test_single_machine_run_allocates_no_metadata(scheduler):
     outcome = run(SINGLE_MACHINE[scheduler], tasks=tasks)
     assert len(outcome.task_columns()) == len(tasks)
     assert all(task._metadata is None for task in tasks)
+
+
+def test_fleet_run_and_its_readers_allocate_no_metadata():
+    """Placement lives in task fields, and reading an optional annotation
+    allocates nothing: after a fleet run with RTT ingress, rejections and
+    work stealing, and after every reader of optional annotations, a task
+    either has no metadata dict or one that something wrote to."""
+    # No function_id field: consistent hashing falls back to the metadata.
+    tasks = make_tasks([(i * 0.004, 0.05 + (i % 7) * 0.03) for i in range(400)])
+    config = ClusterConfig(
+        num_nodes=3,
+        cores_per_node=2,
+        scheduler="fifo",
+        dispatcher="consistent_hash",
+        network=NetworkSpec(rtt=0.01),
+        migration="work_stealing",
+        migration_kwargs={"interval": 0.05},
+    )
+    admission = AdmissionControlMiddleware(max_queue_depth=20)
+    result = simulate_cluster(tasks, config=config, middleware=[admission])
+    rejected = {task.task_id for task in result.rejected_tasks()}
+    migrated = {task.task_id for task in result.migrated_tasks()}
+    assert rejected and migrated and not result.lost_tasks()
+    assert len({function_key(task) for task in tasks}) == len(tasks)
+    assert sum(result.tasks_per_node().values()) == result.finished_count
+    assert result.ingress_waits().min() > 0.0
+    assert result.tasks_ingressed() == replace(result, node_stats={}).tasks_ingressed()
+    annotated = rejected | migrated
+    for task in tasks:
+        if task.task_id in annotated:
+            assert task._metadata, task
+        else:
+            assert task._metadata is None, task
